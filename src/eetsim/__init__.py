@@ -24,9 +24,7 @@ from .model import (
     DensityMatrix,
     RcaReport,
     build_aggregate,
-    commutator_action,
     convert_energy,
-    dephasing_action,
     pure_density,
     rca_check,
 )
@@ -35,7 +33,6 @@ from .scenarios import InitialState, fmo_model_path, load_model, localized_state
 from .stochastic import (
     NoiseSpec,
     TrajectoryEnsemble,
-    accumulate_ensemble,
     derive_stream,
     run_kubo_ensemble,
     run_sse_ensemble,
@@ -69,15 +66,12 @@ __all__ = [
     "TimeGrid",
     "TimeSeries",
     "TrajectoryEnsemble",
-    "accumulate_ensemble",
     "assemble_sigma",
     "bessel_j",
     "build_aggregate",
     "chain_bessel_populations",
-    "commutator_action",
     "compare_series",
     "convert_energy",
-    "dephasing_action",
     "derive_stream",
     "errors",
     "fmo_model_path",

@@ -10,7 +10,8 @@ second-moment triple
 
     R_nm = <x_n x_m>,  S_nm = <p_n p_m>,  T_nm = <x_n p_m>
 
-closes the system exactly, and sigma is assembled per sample as
+closes the system exactly, and sigma is assembled from the whole
+(n_samples, N, N) moment stack at once as
 
     sigma_nm = R_nm + S_nm + i (T_mn - T_nm).
 
@@ -45,7 +46,7 @@ from .errors import (
     ZeroState,
 )
 from .integrate import TimeGrid, linearize_rhs, resolve_step, rk4_propagate
-from .model import AggregateModel, DensityMatrix
+from .model import AggregateModel, DensityMatrix, _check_stack
 
 _SYMMETRY_TOL = 1e-12
 _TRAJECTORY_PSD_TOL = 1e-8
@@ -56,7 +57,8 @@ class RstState:
     """Second-moment triple (R, S, T) of the oscillator ensemble.
 
     R and S are symmetric (position-position and momentum-momentum moments);
-    T (position-momentum) carries no symmetry.  Arrays are read-only.
+    T (position-momentum) carries no symmetry.  Each array is N x N, or a
+    (n_samples, N, N) stack along a trajectory, and is made read-only.
     """
 
     r: np.ndarray
@@ -67,13 +69,13 @@ class RstState:
         r = np.asarray(self.r, dtype=float)
         s = np.asarray(self.s, dtype=float)
         t = np.asarray(self.t, dtype=float)
-        n = r.shape[0]
+        n = r.shape[-1] if r.ndim else 0
         for name, a in (("r", r), ("s", s), ("t", t)):
-            if a.ndim != 2 or a.shape != (n, n):
+            if a.ndim < 2 or a.shape != r.shape[:-2] + (n, n):
                 raise DimensionMismatch(f"{name} must be {n}x{n}, got {a.shape}")
         for name, a in (("r", r), ("s", s)):
-            scale = max(1.0, float(np.abs(a).max()))
-            if float(np.abs(a - a.T).max()) > _SYMMETRY_TOL * scale:
+            scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+            if np.any(np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * scale):
                 raise ValidationError(f"{name} must be symmetric")
         for a in (r, s, t):
             a.setflags(write=False)
@@ -83,19 +85,16 @@ class RstState:
 
     @property
     def dimension(self) -> int:
-        return self.r.shape[0]
+        return self.r.shape[-1]
 
     def pack(self) -> np.ndarray:
         return np.concatenate([self.r.ravel(), self.s.ravel(), self.t.ravel()])
 
-    @staticmethod
-    def unpack(y: np.ndarray, n: int) -> "RstState":
-        n2 = n * n
-        return RstState(
-            y[:n2].reshape(n, n).copy(),
-            y[n2 : 2 * n2].reshape(n, n).copy(),
-            y[2 * n2 :].reshape(n, n).copy(),
-        )
+
+def _moment_stack(raw: np.ndarray, n: int) -> RstState:
+    """The packed RK4 output rows as one triple of (n_samples, N, N) views."""
+    moments = raw.reshape(raw.shape[0], 3, n, n)
+    return RstState(moments[:, 0], moments[:, 1], moments[:, 2])
 
 
 def _phase_averaged(rho: np.ndarray) -> RstState:
@@ -128,43 +127,53 @@ def initial_rst_mixed(rho0: DensityMatrix) -> RstState:
     return _phase_averaged(rho0.data)
 
 
-def assemble_sigma(rst: RstState) -> DensityMatrix:
-    """Classical density matrix (unnormalized) from the moment triple."""
-    sigma = rst.r + rst.s + 1j * (rst.t.T - rst.t)
-    return DensityMatrix(sigma, psd_tol=_TRAJECTORY_PSD_TOL)
+def assemble_sigma(rst: RstState) -> np.ndarray:
+    """Classical density matrix (unnormalized) from the moment triple.
+
+    Works on one triple or a stack; returns the validated, read-only
+    (..., N, N) sigma.
+    """
+    sigma = rst.r + rst.s + 1j * (rst.t.swapaxes(-1, -2) - rst.t)
+    return _check_stack(sigma, _TRAJECTORY_PSD_TOL)
 
 
-def normalize_sigma(sigma) -> tuple[DensityMatrix, float]:
-    """Scale a moment matrix to unit trace; returns (sigma / N, N)."""
-    data = sigma.data if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    norm = float(np.trace(data).real)
-    if norm < 1e-12:
-        raise NormCollapse(f"trace {norm:.3e} too small to normalize")
-    return DensityMatrix(data / norm, psd_tol=_TRAJECTORY_PSD_TOL), norm
+def normalize_sigma(sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Scale (..., N, N) moment matrices to unit trace; returns (sigma / N, N).
+
+    Both results are read-only; N holds one trace per matrix.
+    """
+    data = np.asarray(sigma, dtype=complex)
+    norm = np.asarray(np.trace(data, axis1=-2, axis2=-1).real)
+    collapsed = norm < 1e-12
+    if np.any(collapsed):
+        raise NormCollapse(f"trace {norm[collapsed].flat[0]:.3e} too small to normalize")
+    norm.setflags(write=False)
+    return _check_stack(data / norm[..., None, None], _TRAJECTORY_PSD_TOL), norm
 
 
 @dataclass(frozen=True)
 class ClassicalTrajectory:
-    """Sampled output of the classical engine.
+    """Sampled output of the classical engine; every array is read-only.
 
-    ``states`` holds the raw moment triples, ``sigma_normalized`` the
-    unit-trace classical density matrices, and ``norm_factor`` the trace that
-    was divided out at each sample (it drifts; only the normalized matrices
-    are meant for comparison with the quantum engine).
+    ``states`` holds the raw moments as one triple of (n_samples, N, N)
+    stacks, ``sigma`` the (n_samples, N, N) unit-trace classical density
+    matrices, and ``norm_factor`` the trace that was divided out at each
+    sample (it drifts; only the normalized matrices are meant for comparison
+    with the quantum engine).
     """
 
     grid: TimeGrid
-    states: list[RstState]
-    sigma_normalized: list[DensityMatrix]
+    states: RstState
+    sigma: np.ndarray
     norm_factor: np.ndarray
 
     def populations(self) -> np.ndarray:
         """Normalized site populations, shape (n_samples, N)."""
-        return np.array([dm.populations() for dm in self.sigma_normalized])
+        return np.diagonal(self.sigma, axis1=1, axis2=2).real.copy()
 
     def coherence(self, n: int, m: int) -> np.ndarray:
         """Normalized sigma_nm along the trajectory."""
-        return np.array([dm.data[n, m] for dm in self.sigma_normalized])
+        return self.sigma[:, n, m].copy()
 
 
 def _rst_rhs(model: AggregateModel, quantum: bool):
@@ -176,8 +185,8 @@ def _rst_rhs(model: AggregateModel, quantum: bool):
     """
     n = model.n_sites
     n2 = n * n
-    omega_col = model.omega[:, None]
-    omega_row = model.omega[None, :]
+    eps_col = model.epsilon[:, None]
+    eps_row = model.epsilon[None, :]
     v = model.coupling
     gamma = model.gamma
     ghalf = 0.5 * (gamma[:, None] + gamma[None, :])
@@ -189,9 +198,9 @@ def _rst_rhs(model: AggregateModel, quantum: bool):
         t = y[2 * n2 :].reshape(n, n)
         tt = t.T
 
-        dr = omega_col * tt + t * omega_row - ghalf * r
-        ds = -(omega_col * t + tt * omega_row) - ghalf * s
-        dtm = omega_col * s - r * omega_row - ghalf * t
+        dr = eps_col * tt + t * eps_row - ghalf * r
+        ds = -(eps_col * t + tt * eps_row) - ghalf * s
+        dtm = eps_col * s - r * eps_row - ghalf * t
         # Ito covariation of the common noise: diagonal exchange R <-> S and
         # double damping of T_nn.
         dr[idx, idx] += gamma * s[idx, idx]
@@ -224,7 +233,7 @@ def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGri
     Returns
     -------
     ClassicalTrajectory
-        Raw moments, per-sample normalized sigma, and the norm factors.
+        Raw moment stacks, normalized sigma stack, and the norm factors.
 
     Raises
     ------
@@ -238,13 +247,6 @@ def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGri
     y0 = rst0.pack()
     rhs = linearize_rhs(_rst_rhs(model, quantum=False), y0.size)
     raw = rk4_propagate(rhs, y0, grid, dt)
-    n = model.n_sites
-    states = [RstState.unpack(row, n) for row in raw]
-    normalized = []
-    norms = np.empty(grid.n_samples)
-    for i, st in enumerate(states):
-        dm, norm = normalize_sigma(assemble_sigma(st))
-        normalized.append(dm)
-        norms[i] = norm
-    norms.setflags(write=False)
-    return ClassicalTrajectory(grid=grid, states=states, sigma_normalized=normalized, norm_factor=norms)
+    states = _moment_stack(raw, model.n_sites)
+    sigma, norms = normalize_sigma(assemble_sigma(states))
+    return ClassicalTrajectory(grid=grid, states=states, sigma=sigma, norm_factor=norms)

@@ -128,11 +128,23 @@ def _build_scenario(args):
     return model, initial, chain
 
 
+def _check_engines(engines, model, initial, chain, n_traj) -> None:
+    """Refuse a configuration that any requested engine cannot run, before any engine starts."""
+    for engine in engines:
+        if engine not in ENGINES:
+            raise _ConfigError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
+    for engine in engines:
+        if engine == "bessel" and chain is None:
+            raise _ConfigError("engine 'bessel' requires a --chain scenario")
+        if engine == "bessel" and (chain["gamma"] != 0.0 or float(model.gamma.max()) != 0.0):
+            raise _ConfigError("engine 'bessel' requires gamma=0")
+        if engine in ("sse", "kubo") and not initial.is_pure:
+            raise _ConfigError(f"engine {engine!r} needs a pure initial state")
+        if engine in ("sse", "kubo") and n_traj < 1:
+            raise _ConfigError(f"--ntraj must be at least 1, got {n_traj}")
+
+
 def _bessel_series(model, chain, grid) -> TimeSeries:
-    if chain is None:
-        raise _ConfigError("engine 'bessel' requires a --chain scenario")
-    if chain["gamma"] != 0.0 or float(model.gamma.max()) != 0.0:
-        raise _ConfigError("engine 'bessel' requires gamma=0")
     times = grid.times
     channels = {}
     for site in range(chain["n_sites"]):
@@ -154,17 +166,13 @@ def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
         traj = propagate_classical_rst(model, rst0, grid)
         return series_from_classical(traj, units=units)
     if engine in ("sse", "kubo"):
-        if not initial.is_pure:
-            raise _ConfigError(f"engine {engine!r} needs a pure initial state")
         noise = NoiseSpec(gamma=model.gamma, seed=args.seed)
         if engine == "sse":
             ens = run_sse_ensemble(model, initial.amplitudes, grid, noise, n_traj=args.ntraj)
             return series_from_ensemble(ens, "sse-ensemble", units=units)
         ens = run_kubo_ensemble(model, initial.amplitudes, grid, noise, n_traj=args.ntraj)
         return series_from_ensemble(ens, "kubo-ensemble", units=units, normalize=True)
-    if engine == "bessel":
-        return _bessel_series(model, chain, grid)
-    raise _ConfigError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
+    return _bessel_series(model, chain, grid)
 
 
 def cmd_run(args) -> int:
@@ -174,9 +182,7 @@ def cmd_run(args) -> int:
         engines = [e.strip() for e in args.engines.split(",") if e.strip()]
         if not engines:
             raise _ConfigError("--engines: need at least one engine")
-        for engine in engines:
-            if engine not in ENGINES:
-                raise _ConfigError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
+        _check_engines(engines, model, initial, chain, args.ntraj)
         if args.format not in ("csv", "json"):
             raise _ConfigError("--format must be csv or json")
         out_dir = Path(args.out)
@@ -189,8 +195,6 @@ def cmd_run(args) -> int:
     for engine in engines:
         try:
             series = _run_one_engine(engine, model, initial, grid, chain, args)
-        except _ConfigError as exc:
-            return _fail_config(str(exc))
         except EetsimError as exc:
             return _fail_numeric(engine, exc)
         destination = out_dir / f"{engine}.{args.format}"

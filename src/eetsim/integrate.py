@@ -21,6 +21,8 @@ from .model import AggregateModel
 STEP_GUARD = 0.1
 #: Default step resolves the fastest phase with 100 steps per radian.
 DEFAULT_STEP_FACTOR = 0.01
+#: Beyond this flat dimension a dense generator costs more than the callback.
+_LINEARIZE_MAX_DIM = 600
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,15 @@ def substep_plan(grid: TimeGrid, dt: float) -> list[tuple[int, float]]:
     return plan
 
 
-def linearize_rhs(rhs, dim: int, threshold: int = 600):
+def linearize_rhs(rhs, dim: int):
     """Collapse a linear autonomous derivative into one matrix-vector product.
 
     The engines' derivative callbacks are linear in the state, so for small
     systems it pays to probe them once per basis vector and replace ~30 small
-    numpy calls per evaluation with a single matvec.  Beyond ``threshold``
-    flat dimensions the dense generator would cost more than the callback.
+    numpy calls per evaluation with a single matvec.  Larger systems keep the
+    callback.
     """
-    if dim > threshold:
+    if dim > _LINEARIZE_MAX_DIM:
         return rhs
     basis = np.eye(dim)
     generator = np.column_stack([rhs(basis[i]) for i in range(dim)])

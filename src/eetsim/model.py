@@ -35,6 +35,8 @@ UNIT_SYSTEMS = ("dimensionless-in-V", "wavenumber")
 
 _COUPLING_SYMMETRY_TOL = 1e-12
 _HERMITICITY_TOL = 1e-12
+#: Any RCA ratio at or above this makes the verdict "fail".
+_RCA_FAIL_RATIO = 1.0
 
 
 def convert_energy(value):
@@ -73,11 +75,6 @@ class AggregateModel:
     @property
     def n_sites(self) -> int:
         return self.epsilon.shape[0]
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Oscillator frequencies; identical to epsilon since hbar = 1."""
-        return self.epsilon
 
     @cached_property
     def energy_gaps(self) -> np.ndarray:
@@ -160,33 +157,46 @@ def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V")
     return AggregateModel(epsilon=eps, coupling=v, gamma=gam, units=units)
 
 
+def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
+    """Validate a (..., N, N) stack of density matrices and make it read-only.
+
+    Each sample must be Hermitian relative to its own largest entry, have a
+    real trace, and have no eigenvalue below -psd_tol * max(1, largest
+    entry); one batched eigvalsh serves the whole stack.
+    """
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatch(f"density matrix must be square, got shape {a.shape}")
+    scale = np.abs(a).max(axis=(-2, -1))
+    herm = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = herm > _HERMITICITY_TOL * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        raise ValidationError(f"matrix not Hermitian: max |A - A^H| = {herm[bad].flat[0]:.3e}")
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    bad = np.abs(tr.imag) > _HERMITICITY_TOL * np.maximum(1.0, np.abs(tr))
+    if np.any(bad):
+        raise ValidationError(f"trace not real: {complex(tr[bad].flat[0])}")
+    lo = np.linalg.eigvalsh(a).min(axis=-1)
+    bad = lo < -psd_tol * np.maximum(1.0, scale)
+    if np.any(bad):
+        raise NotPositive(f"eigenvalue {lo[bad].flat[0]:.3e} below positivity tolerance")
+    a.setflags(write=False)
+    return a
+
+
 class DensityMatrix:
     """N x N complex Hermitian matrix with trace and positivity checks.
 
     The wrapped array is made read-only.  ``psd_tol`` bounds how negative an
-    eigenvalue may be before construction fails; propagators pass a slightly
-    looser tolerance than the default to absorb integrator noise.
+    eigenvalue may be before construction fails.
     """
 
     __slots__ = ("data",)
 
-    def __init__(self, data, psd_tol: float = 1e-9, check_psd: bool = True):
+    def __init__(self, data, psd_tol: float = 1e-9):
         a = np.array(data, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2:
             raise DimensionMismatch(f"density matrix must be square, got shape {a.shape}")
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        herm = float(np.abs(a - a.conj().T).max())
-        if herm > _HERMITICITY_TOL * max(scale, 1e-300):
-            raise ValidationError(f"matrix not Hermitian: max |A - A^H| = {herm:.3e}")
-        tr = complex(np.trace(a))
-        if abs(tr.imag) > _HERMITICITY_TOL * max(1.0, abs(tr)):
-            raise ValidationError(f"trace not real: {tr}")
-        if check_psd:
-            lo = float(np.linalg.eigvalsh(a).min()) if a.size else 0.0
-            if lo < -psd_tol * max(1.0, scale):
-                raise NotPositive(f"eigenvalue {lo:.3e} below positivity tolerance")
-        a.setflags(write=False)
-        self.data = a
+        self.data = _check_stack(a, psd_tol)
 
     @property
     def dimension(self) -> int:
@@ -220,34 +230,6 @@ def pure_density(amplitudes) -> DensityMatrix:
     return DensityMatrix(np.outer(c, c.conj()))
 
 
-def commutator_action(model: AggregateModel, m) -> np.ndarray:
-    """Coherent part of the master equation applied to a matrix.
-
-    Returns -i[(eps_n - eps_m) m_nm + sum_l (V_nl m_lm - V_lm m_nl)] with
-    hbar = 1.  Maps Hermitian input to a traceless anti-Hermitian-consistent
-    derivative contribution.
-    """
-    a = np.asarray(m, dtype=complex)
-    n = model.n_sites
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {a.shape} does not match model dimension {n}")
-    v = model.coupling
-    return -1j * (model.energy_gaps * a + v @ a - a @ v)
-
-
-def dephasing_action(model: AggregateModel, m) -> np.ndarray:
-    """Pure-dephasing functional: elementwise damping of off-diagonals.
-
-    Diagonal elements map to exactly 0; off-diagonals are multiplied by
-    -(gamma_n + gamma_m)/2.
-    """
-    a = np.asarray(m, dtype=complex)
-    n = model.n_sites
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {a.shape} does not match model dimension {n}")
-    return model.dephasing_factor * a
-
-
 @dataclass(frozen=True)
 class RcaReport:
     """Diagnostic ratios for the realistic coupling approximation.
@@ -262,7 +244,6 @@ class RcaReport:
     ratio_gamma: float
     verdict: str
     threshold: float = 0.1
-    fail_threshold: float = 1.0
     reason: str = ""
 
     def summary(self) -> str:
@@ -277,36 +258,35 @@ class RcaReport:
         return "\n".join(lines)
 
 
-def rca_check(model: AggregateModel, threshold: float = 0.1, fail_threshold: float = 1.0) -> RcaReport:
+def rca_check(model: AggregateModel, threshold: float = 0.1) -> RcaReport:
     """Evaluate the three weak-coupling ratios behind the RCA.
 
     Verdict is ``"pass"`` when every ratio is below ``threshold``, ``"fail"``
-    when any ratio reaches ``fail_threshold`` (or the frequencies are not all
+    when any ratio reaches 1 (or the frequencies are not all
     positive, in which case the ratios are reported as infinite), otherwise
     ``"marginal"``.
     """
-    omega = model.omega
-    if np.any(omega <= 0.0):
+    eps = model.epsilon
+    if np.any(eps <= 0.0):
         return RcaReport(
             ratio_v=float("inf"),
             ratio_detune=float("inf"),
             ratio_gamma=float("inf"),
             verdict="fail",
             threshold=threshold,
-            fail_threshold=fail_threshold,
             reason="non-positive transition frequency",
         )
     vmax_per_row = np.abs(model.coupling).max(axis=1) if model.n_sites > 1 else np.zeros(1)
-    ratio_v = float((vmax_per_row / omega).max())
-    spread = float(omega.max() - omega.min())
-    ratio_detune = spread / float(omega.min())
-    ratio_gamma = float((model.gamma / omega).max())
+    ratio_v = float((vmax_per_row / eps).max())
+    spread = float(eps.max() - eps.min())
+    ratio_detune = spread / float(eps.min())
+    ratio_gamma = float((model.gamma / eps).max())
 
     ratios = (ratio_v, ratio_detune, ratio_gamma)
     if all(r < threshold for r in ratios):
         verdict = "pass"
-    elif any(r >= fail_threshold for r in ratios):
+    elif any(r >= _RCA_FAIL_RATIO for r in ratios):
         verdict = "fail"
     else:
         verdict = "marginal"
-    return RcaReport(ratio_v, ratio_detune, ratio_gamma, verdict, threshold, fail_threshold)
+    return RcaReport(ratio_v, ratio_detune, ratio_gamma, verdict, threshold)

@@ -4,7 +4,9 @@ Two independent formulations are provided as mutual oracles: direct
 integration of the density matrix under coherent evolution plus pure
 dephasing, and integration of the quantum second-moment triple (the
 real/imaginary bilinears of the amplitudes) with the density matrix
-reassembled per sample via rho_nm = R_nm + S_nm + i (T_mn - T_nm).
+assembled from the whole moment stack via rho_nm = R_nm + S_nm + i (T_mn - T_nm).
+Both return the sampled density matrices as one (n_samples, N, N) stack,
+validated once per run.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import RstState, _rst_rhs
+from .classical import RstState, _moment_stack, _rst_rhs, assemble_sigma
 from .errors import EetsimError, InvalidInitialState
 from .integrate import TimeGrid, linearize_rhs, resolve_step, rk4_propagate
-from .model import AggregateModel, DensityMatrix
+from .model import AggregateModel, DensityMatrix, _check_stack
 
 _TRACE_TOL = 1e-8
 _TRAJECTORY_PSD_TOL = 1e-8
@@ -24,18 +26,22 @@ _TRAJECTORY_PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuantumTrajectory:
-    """Density matrices sampled on a time grid, with trace checked per sample."""
+    """Density matrices sampled on a time grid.
+
+    ``rho`` is the read-only (n_samples, N, N) stack; every sample was
+    checked for Hermiticity, positivity and unit trace.
+    """
 
     grid: TimeGrid
-    states: list[DensityMatrix]
+    rho: np.ndarray
 
     def populations(self) -> np.ndarray:
         """Site populations, shape (n_samples, N)."""
-        return np.array([dm.populations() for dm in self.states])
+        return np.diagonal(self.rho, axis1=1, axis2=2).real.copy()
 
     def coherence(self, n: int, m: int) -> np.ndarray:
         """rho_nm along the trajectory."""
-        return np.array([dm.data[n, m] for dm in self.states])
+        return self.rho[:, n, m].copy()
 
 
 def _lindblad_rhs(model: AggregateModel):
@@ -58,10 +64,6 @@ def _pack_density(rho: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rho, dtype=complex).view(float).ravel().copy()
 
 
-def _unpack_density(row: np.ndarray, n: int) -> np.ndarray:
-    return row.view(complex).reshape(n, n)
-
-
 def _check_initial(model: AggregateModel, rho0: DensityMatrix) -> None:
     if rho0.dimension != model.n_sites:
         raise InvalidInitialState(
@@ -69,6 +71,13 @@ def _check_initial(model: AggregateModel, rho0: DensityMatrix) -> None:
         )
     if abs(rho0.trace - 1.0) > _TRACE_TOL:
         raise InvalidInitialState(f"initial trace {rho0.trace} is not 1")
+
+
+def _check_unit_trace(rho: np.ndarray) -> None:
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    drifted = np.abs(trace - 1.0) > _TRACE_TOL
+    if np.any(drifted):
+        raise EetsimError(f"trace drifted to {float(trace[drifted][0])}; step too coarse")
 
 
 def propagate_lindblad(model: AggregateModel, rho0: DensityMatrix, grid: TimeGrid) -> QuantumTrajectory:
@@ -97,23 +106,19 @@ def propagate_lindblad(model: AggregateModel, rho0: DensityMatrix, grid: TimeGri
     y0 = _pack_density(rho0.data)
     rhs = linearize_rhs(_lindblad_rhs(model), y0.size)
     raw = rk4_propagate(rhs, y0, grid, dt)
-    states = []
-    for row in raw:
-        rho = _unpack_density(row, n)
-        dm = DensityMatrix(rho, psd_tol=_TRAJECTORY_PSD_TOL)
-        if abs(dm.trace - 1.0) > _TRACE_TOL:
-            raise EetsimError(f"trace drifted to {dm.trace}; step too coarse")
-        states.append(dm)
-    return QuantumTrajectory(grid=grid, states=states)
+    rho = _check_stack(raw.view(complex).reshape(-1, n, n), _TRAJECTORY_PSD_TOL)
+    _check_unit_trace(rho)
+    return QuantumTrajectory(grid=grid, rho=rho)
 
 
-def propagate_quantum_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid) -> list[DensityMatrix]:
+def propagate_quantum_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid) -> QuantumTrajectory:
     """Integrate the quantum moment triple and reassemble the density matrix.
 
     Uses the same initial-state builders as the classical engine.  Agrees
     with :func:`propagate_lindblad` to integrator accuracy; useful as a
     cross-check because the couplings enter the two formulations in
-    structurally different ways.
+    structurally different ways.  Like the classical engine it checks that
+    R and S stay symmetric in every sample (ValidationError otherwise).
     """
     if rst0.dimension != model.n_sites:
         raise InvalidInitialState(
@@ -123,16 +128,6 @@ def propagate_quantum_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid)
     y0 = rst0.pack()
     rhs = linearize_rhs(_rst_rhs(model, quantum=True), y0.size)
     raw = rk4_propagate(rhs, y0, grid, dt)
-    n = model.n_sites
-    n2 = n * n
-    states = []
-    for row in raw:
-        r = row[:n2].reshape(n, n)
-        s = row[n2 : 2 * n2].reshape(n, n)
-        t = row[2 * n2 :].reshape(n, n)
-        rho = r + s + 1j * (t.T - t)
-        dm = DensityMatrix(rho, psd_tol=_TRAJECTORY_PSD_TOL)
-        if abs(dm.trace - 1.0) > _TRACE_TOL:
-            raise EetsimError(f"trace drifted to {dm.trace}; step too coarse")
-        states.append(dm)
-    return states
+    rho = assemble_sigma(_moment_stack(raw, model.n_sites))
+    _check_unit_trace(rho)
+    return QuantumTrajectory(grid=grid, rho=rho)

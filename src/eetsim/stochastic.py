@@ -33,31 +33,28 @@ from .errors import (
 from .integrate import TimeGrid, resolve_step, substep_plan
 from .model import AggregateModel
 
-NOISE_KINDS = ("gaussian-white",)
-
 _CHUNK_TRAJECTORIES = 1024
+#: Bytes of sampled amplitudes one batch holds.
 _CHUNK_MEMORY_BYTES = 256_000_000
+#: Bytes of phase kicks one batch holds at once.
+_SEGMENT_BYTES = 8_000_000
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Noise model for the stochastic engines.
 
-    Only delta-correlated real Gaussian frequency noise ships; ``kind`` exists
-    so that time-correlated or non-Gaussian processes can be added without
-    touching the samplers.
+    Delta-correlated real Gaussian frequency noise with per-site rates
+    ``gamma``; trajectory streams derive from ``seed``.
     """
 
     gamma: np.ndarray
     seed: int
-    kind: str = "gaussian-white"
 
     def __post_init__(self):
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float)).copy()
         if np.any(gamma < 0.0):
             raise ValidationError("noise rates must be non-negative")
-        if self.kind not in NOISE_KINDS:
-            raise ValidationError(f"unknown noise kind {self.kind!r}; supported: {NOISE_KINDS}")
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "seed", int(self.seed))
@@ -74,14 +71,6 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _phase_increments(kind: str, gen: np.random.Generator, std_table: np.ndarray) -> np.ndarray:
-    # Generator interface for the noise kinds; white noise draws independent
-    # normals per site per substep and scales by sqrt(gamma * h).
-    if kind != "gaussian-white":
-        raise ValidationError(f"noise kind {kind!r} not implemented")
-    return gen.standard_normal(std_table.shape) * std_table
-
-
 def _deterministic_rhs(model: AggregateModel, kind: str):
     if kind == "sse":
         h_full = np.diag(model.epsilon).astype(complex) + model.coupling
@@ -90,11 +79,11 @@ def _deterministic_rhs(model: AggregateModel, kind: str):
             return -1j * (z @ h_full)
 
     elif kind == "kubo":
-        omega = model.omega
+        eps = model.epsilon
         v = model.coupling
 
         def rhs(z):
-            return -1j * (z * omega) - 2j * (z.real @ v)
+            return -1j * (z * eps) - 2j * (z.real @ v)
 
     else:  # pragma: no cover
         raise ValueError(kind)
@@ -107,22 +96,19 @@ def _strang_paths(
     z0: np.ndarray,
     grid: TimeGrid,
     streams: list[np.random.Generator],
-    noise_kind: str = "gaussian-white",
 ) -> np.ndarray:
     """Propagate a batch from z0 of shape (N,) or (batch, N); returns (batch, n_samples, N)."""
     n = model.n_sites
     batch = len(streams)
     dt = resolve_step(model, grid)
     plan = substep_plan(grid, dt)
-    total_steps = sum(n_sub for n_sub, _ in plan)
+    # Width h of every substep, in path order.
+    h_path = np.repeat([h for _, h in plan], [n_sub for n_sub, _ in plan])
 
-    # Per-substep kick widths sqrt(gamma_n * h), shared by all trajectories.
-    h_rows = np.concatenate([np.full(n_sub, h) for n_sub, h in plan])
-    std_table = np.sqrt(h_rows[:, None] * model.gamma[None, :])
-    # Each trajectory draws its entire noise path from its own stream.
-    phases = np.empty((batch, total_steps, n))
-    for b, gen in enumerate(streams):
-        phases[b] = _phase_increments(noise_kind, gen, std_table)
+    # Noise is drawn for a block of substeps at a time, holding about
+    # _SEGMENT_BYTES of kicks.  Each trajectory's draws continue its own
+    # stream, so the kicks equal those of one whole-path draw.
+    block = max(1, _SEGMENT_BYTES // (8 * n * batch))
 
     rhs = _deterministic_rhs(model, kind)
 
@@ -140,8 +126,15 @@ def _strang_paths(
     for i, (n_sub, h) in enumerate(plan):
         half = 0.5 * h
         for _ in range(n_sub):
+            if step % block == 0:
+                # Kick widths sqrt(gamma_n * h) per substep, shared by all trajectories.
+                std_table = np.sqrt(h_path[step : step + block, None] * model.gamma[None, :])
+                phases = np.empty((batch,) + std_table.shape)
+                for b, gen in enumerate(streams):
+                    gen.standard_normal(std_table.shape, out=phases[b])
+                phases *= std_table
             z = rk4_step(z, half)
-            z = z * np.exp(-1j * phases[:, step, :])
+            z = z * np.exp(-1j * phases[:, step % block, :])
             z = rk4_step(z, half)
             step += 1
         out[:, i + 1, :] = z
@@ -234,11 +227,6 @@ class TrajectoryEnsemble:
         mean = self._sum / self.n_traj
         return 0.5 * (mean + np.conj(np.swapaxes(mean, 1, 2)))
 
-    @property
-    def m2(self) -> np.ndarray:
-        """Accumulated squared magnitudes of the bilinears."""
-        return self._sq.copy()
-
     def standard_error(self) -> np.ndarray:
         """Per-entry standard error of the mean; needs at least 2 paths."""
         if self.n_traj < 2:
@@ -254,29 +242,14 @@ class TrajectoryEnsemble:
         return mean[:, idx, idx].real
 
 
-def accumulate_ensemble(paths, grid: TimeGrid) -> TrajectoryEnsemble:
-    """Average an iterable of amplitude paths ordered by trajectory index."""
-    ens = None
-    for path in paths:
-        p = np.asarray(path, dtype=complex)
-        if ens is None:
-            ens = TrajectoryEnsemble(grid, p.shape[1])
-        ens.add_path(p)
-    if ens is None:
-        raise ValidationError("no paths given")
-    return ens
-
-
 def _run_ensemble(kind, model, z0, grid, noise: NoiseSpec, n_traj: int) -> TrajectoryEnsemble:
     if n_traj < 1:
         raise ValidationError("n_traj must be positive")
     if noise.gamma.shape != model.gamma.shape or not np.allclose(noise.gamma, model.gamma):
         raise ValidationError("noise rates must match the model dephasing rates")
     z = _check_amplitudes(model, z0)
-    dt = resolve_step(model, grid)
-    total_steps = sum(n for n, _ in substep_plan(grid, dt))
-    per_traj = total_steps * model.n_sites * 8
-    chunk = min(_CHUNK_TRAJECTORIES, max(1, _CHUNK_MEMORY_BYTES // max(per_traj, 1)))
+    per_traj = grid.n_samples * model.n_sites * 16
+    chunk = min(_CHUNK_TRAJECTORIES, max(1, _CHUNK_MEMORY_BYTES // per_traj))
     ens = TrajectoryEnsemble(grid, model.n_sites)
     for start in range(0, n_traj, chunk):
         idx = range(start, min(start + chunk, n_traj))
@@ -284,7 +257,7 @@ def _run_ensemble(kind, model, z0, grid, noise: NoiseSpec, n_traj: int) -> Traje
         starts = z
         if kind == "kubo":  # phase-averaged start: theta_k is stream k's first draw
             starts = z * np.exp(1j * np.array([g.uniform(0.0, 2.0 * np.pi) for g in streams]))[:, None]
-        paths = _strang_paths(kind, model, starts, grid, streams, noise_kind=noise.kind)
+        paths = _strang_paths(kind, model, starts, grid, streams)
         for b in range(paths.shape[0]):
             ens.add_path(paths[b])
     return ens

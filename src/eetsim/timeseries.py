@@ -55,9 +55,9 @@ class TimeSeries:
         return self.times.shape[0]
 
 
-def _density_channels(times, matrices, engine, units, extra=None) -> TimeSeries:
-    n = matrices[0].shape[0]
-    data = np.array(matrices)
+def _density_channels(times, data, engine, units, extra=None) -> TimeSeries:
+    """Channels of an (n_samples, N, N) stack of density matrices."""
+    n = data.shape[-1]
     channels: dict[str, np.ndarray] = {}
     for i in range(n):
         channels[f"population:{i}"] = data[:, i, i].real
@@ -72,14 +72,14 @@ def _density_channels(times, matrices, engine, units, extra=None) -> TimeSeries:
 
 def series_from_quantum(traj: QuantumTrajectory, engine: str = "lindblad", units: str = "model") -> TimeSeries:
     """Populations and coherence components of a quantum trajectory."""
-    return _density_channels(traj.grid.times, [dm.data for dm in traj.states], engine, units)
+    return _density_channels(traj.grid.times, traj.rho, engine, units)
 
 
 def series_from_classical(traj: ClassicalTrajectory, units: str = "model") -> TimeSeries:
     """Normalized classical observables, including the norm-factor channel."""
     return _density_channels(
         traj.grid.times,
-        [dm.data for dm in traj.sigma_normalized],
+        traj.sigma,
         "classical-rst",
         units,
         extra={"norm_factor": traj.norm_factor.copy()},
@@ -99,7 +99,7 @@ def series_from_ensemble(
             raise ValidationError("ensemble trace collapsed; cannot normalize")
         extra = {"norm_factor": norms.copy()}
         mean = mean / norms[:, None, None]
-    return _density_channels(ens.grid.times, list(mean), engine, units, extra=extra)
+    return _density_channels(ens.grid.times, mean, engine, units, extra=extra)
 
 
 def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:

@@ -195,13 +195,13 @@ def test_criterion_7_unraveling_convergence():
     noise = ee.NoiseSpec(gamma=model.gamma, seed=1234)
 
     quantum = ee.propagate_lindblad(model, init.rho, grid)
-    rho = np.array([dm.data for dm in quantum.states])
+    rho = quantum.rho
     sse = ee.run_sse_ensemble(model, init.amplitudes, grid, noise, n_traj=10_000)
     err_sse = np.abs(sse.mean_bilinear - rho)
     ok_sse = bool(np.all(err_sse <= 5.0 * sse.standard_error() + 1e-9)) and err_sse.max() < 0.02
 
     classical = ee.propagate_classical_rst(model, ee.initial_rst_pure(init.amplitudes), grid)
-    sigma = np.array([ee.assemble_sigma(st).data for st in classical.states])
+    sigma = ee.assemble_sigma(classical.states)
     kubo = ee.run_kubo_ensemble(model, init.amplitudes, grid, noise, n_traj=10_000)
     err_kubo = np.abs(kubo.mean_bilinear - sigma)
     ok_kubo = bool(np.all(err_kubo <= 5.0 * kubo.standard_error() + 1e-9)) and err_kubo.max() < 0.02
@@ -230,7 +230,7 @@ def test_criterion_8_cross_engine_oracle():
     for label, model, init, grid in cases:
         lind = ee.propagate_lindblad(model, init.rho, grid)
         rst = ee.propagate_quantum_rst(model, ee.initial_rst_pure(init.amplitudes), grid)
-        devs[label] = max(np.abs(a.data - b.data).max() for a, b in zip(lind.states, rst))
+        devs[label] = float(np.abs(lind.rho - rst.rho).max())
     ok = all(d < 1e-7 for d in devs.values())
     assert report(
         8, ok,
@@ -244,21 +244,23 @@ def test_criterion_9_invariant_suites(chain_g1):
     _, classical1 = chain_g1[1.0]
 
     # density-matrix invariants along the quantum run
-    trace_dev = max(abs(dm.trace - 1.0) for dm in quantum40.states)
-    herm_dev = max(
-        np.abs(dm.data - dm.data.conj().T).max() / max(1.0, np.abs(dm.data).max())
-        for dm in quantum40.states
-    )
-    min_eig = min(dm.min_eigenvalue() for dm in quantum40.states)
+    rho = quantum40.rho
+    trace_dev = float(np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0).max())
+    herm_dev = float((
+        np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        / np.maximum(1.0, np.abs(rho).max(axis=(1, 2)))
+    ).max())
+    min_eig = float(np.linalg.eigvalsh(rho).min())
     ok_q = trace_dev < 1e-8 and herm_dev < 1e-10 and min_eig > -1e-8
 
     # moment invariants along the classical run
-    sym_dev = max(
-        max(np.abs(st.r - st.r.T).max(), np.abs(st.s - st.s.T).max())
-        / max(1.0, np.abs(st.r).max(), np.abs(st.s).max())
-        for st in classical40.states
-    )
-    sigma_eig = min(ee.assemble_sigma(st).min_eigenvalue() for st in classical40.states)
+    st = classical40.states
+    sym_dev = float((
+        np.maximum(np.abs(st.r - st.r.transpose(0, 2, 1)).max(axis=(1, 2)),
+                   np.abs(st.s - st.s.transpose(0, 2, 1)).max(axis=(1, 2)))
+        / np.maximum(1.0, np.maximum(np.abs(st.r).max(axis=(1, 2)), np.abs(st.s).max(axis=(1, 2))))
+    ).max())
+    sigma_eig = float(np.linalg.eigvalsh(ee.assemble_sigma(st)).min())
     ok_c = sym_dev < 1e-10 and sigma_eig > -1e-8
 
     # global energy shift: quantum blind, classical not
@@ -278,7 +280,7 @@ def test_criterion_9_invariant_suites(chain_g1):
     base = ee.propagate_lindblad(rng_model, ee.pure_density(c0), grid)
     moved = ee.propagate_lindblad(
         rng_model.with_shifted_energies(17.3), ee.pure_density(c0), grid)
-    shift_dev = max(np.abs(a.data - b.data).max() for a, b in zip(base.states, moved.states))
+    shift_dev = float(np.abs(base.rho - moved.rho).max())
     classical_shift_dev = float(
         np.abs(classical40.populations() - classical1.populations()).max())
     ok_shift = shift_dev < 1e-10 and classical_shift_dev > 1e-4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eetsim.classical
 from eetsim import (
     DensityMatrix,
     RstState,
@@ -17,7 +18,7 @@ from eetsim import (
     pure_density,
     run_kubo_ensemble,
 )
-from eetsim.errors import NormCollapse, NotPositive, ZeroState
+from eetsim.errors import NormCollapse, NotPositive, ValidationError, ZeroState
 
 
 def anomalous(rst):
@@ -33,7 +34,7 @@ class TestInitialStates:
         assert np.array_equal(rst.s, np.diag([0.5, 0.0]))
         assert np.all(rst.t == 0.0)
         assert np.all(anomalous(rst) == 0.0)
-        sigma = assemble_sigma(rst).data
+        sigma = assemble_sigma(rst)
         assert np.array_equal(sigma, np.diag([1.0, 0.0]).astype(complex))
 
     def test_complex_superposition_bilinears(self):
@@ -43,7 +44,7 @@ class TestInitialStates:
         assert np.allclose(rst.s, np.diag([0.25, 0.25]))
         assert np.allclose(rst.t, [[0.0, 0.25], [-0.25, 0.0]])
         assert np.allclose(anomalous(rst), 0.0)
-        sigma = assemble_sigma(rst).data
+        sigma = assemble_sigma(rst)
         assert np.isclose(sigma[0, 1], -0.5j)
         assert np.allclose(sigma, np.outer(c, c.conj()))
 
@@ -57,7 +58,7 @@ class TestInitialStates:
         assert np.allclose(rst.s, 0.25 * np.eye(2))
         assert np.allclose(rst.t, 0.0)
         assert np.allclose(anomalous(rst), 0.0)
-        assert np.allclose(assemble_sigma(rst).data, 0.5 * np.eye(2))
+        assert np.allclose(assemble_sigma(rst), 0.5 * np.eye(2))
 
     def test_mixed_reduces_to_pure(self):
         # complex c: eigenvector phases must not leak into the mixed moments
@@ -75,7 +76,7 @@ class TestInitialStates:
         psi_b = psi_b / np.sqrt(np.vdot(psi_b, psi_b).real)
         rho = 0.7 * np.outer(psi_a, psi_a.conj()) + 0.3 * np.outer(psi_b, psi_b.conj())
         rst = initial_rst_mixed(DensityMatrix(rho))
-        assert np.abs(assemble_sigma(rst).data - rho).max() < 1e-12
+        assert np.abs(assemble_sigma(rst) - rho).max() < 1e-12
 
     def test_not_positive_rejected(self):
         bad = DensityMatrix(np.diag([1.01, -0.01]), psd_tol=0.1)
@@ -86,25 +87,25 @@ class TestInitialStates:
 class TestAssembleNormalize:
     def test_zero_moments(self):
         zero = RstState(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-        assert np.all(assemble_sigma(zero).data == 0.0)
+        assert np.all(assemble_sigma(zero) == 0.0)
 
     def test_symmetric_t_gives_real_sigma(self):
         r = np.array([[0.5, 0.1], [0.1, 0.3]])
         s = np.array([[0.2, 0.0], [0.0, 0.1]])
         t = np.array([[0.1, 0.2], [0.2, 0.4]])
         rst = RstState(r, s, t)
-        assert np.abs(assemble_sigma(rst).data.imag).max() == 0.0
+        assert np.abs(assemble_sigma(rst).imag).max() == 0.0
 
     def test_normalize_diagonal(self):
-        dm, norm = normalize_sigma(np.diag([2.0, 2.0]).astype(complex))
+        sigma, norm = normalize_sigma(np.diag([2.0, 2.0]).astype(complex))
         assert norm == 4.0
-        assert np.allclose(dm.data, np.diag([0.5, 0.5]))
+        assert np.allclose(sigma, np.diag([0.5, 0.5]))
 
     def test_normalize_unit_pure(self):
         c = np.array([0.6, 0.8j])
-        dm, norm = normalize_sigma(np.outer(c, c.conj()))
+        sigma, norm = normalize_sigma(np.outer(c, c.conj()))
         assert np.isclose(norm, 1.0)
-        assert np.allclose(dm.data, np.outer(c, c.conj()))
+        assert np.allclose(sigma, np.outer(c, c.conj()))
 
     def test_negative_trace_collapses(self):
         with pytest.raises(NormCollapse):
@@ -132,10 +133,7 @@ class TestPropagation:
         grid = TimeGrid(0.0, 5.0, 51)
         classical = propagate_classical_rst(model, initial_rst_mixed(rho0), grid)
         quantum = propagate_lindblad(model, rho0, grid)
-        diff = max(
-            np.abs(a.data - b.data).max()
-            for a, b in zip(classical.sigma_normalized, quantum.states)
-        )
+        diff = np.abs(classical.sigma - quantum.rho).max()
         assert diff < 1e-10
         assert np.abs(classical.coherence(0, 1) - 0.5 * np.exp(-grid.times)).max() < 1e-8
 
@@ -143,25 +141,24 @@ class TestPropagation:
         model, init = make_chain(7, 1.0, 8.0, 0.7, 3)
         grid = TimeGrid(0.0, 6.0, 31)
         traj = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid)
-        for st in traj.states:
-            scale = max(1.0, np.abs(st.r).max(), np.abs(st.s).max())
-            assert np.abs(st.r - st.r.T).max() < 1e-10 * scale
-            assert np.abs(st.s - st.s.T).max() < 1e-10 * scale
+        for r, s in zip(traj.states.r, traj.states.s):
+            scale = max(1.0, np.abs(r).max(), np.abs(s).max())
+            assert np.abs(r - r.T).max() < 1e-10 * scale
+            assert np.abs(s - s.T).max() < 1e-10 * scale
 
     def test_sigma_positive_semidefinite(self):
         model, init = make_chain(4, 1.0, 2.0, 0.5, 1)
         grid = TimeGrid(0.0, 8.0, 41)
         traj = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid)
-        for st in traj.states:
-            sigma = assemble_sigma(st)
-            assert sigma.min_eigenvalue() > -1e-8
+        for sigma in assemble_sigma(traj.states):
+            assert np.linalg.eigvalsh(sigma).min() > -1e-8
 
     def test_normalized_output_unit_trace(self):
         model, init = make_chain(3, 1.0, 1.0, 0.3, 0)
         grid = TimeGrid(0.0, 5.0, 26)
         traj = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid)
-        for dm in traj.sigma_normalized:
-            assert abs(dm.trace - 1.0) < 1e-12
+        for sigma in traj.sigma:
+            assert abs(np.trace(sigma).real - 1.0) < 1e-12
         assert np.all(traj.norm_factor > 0.0)
 
     def test_global_phase_of_start_is_irrelevant(self):
@@ -174,10 +171,8 @@ class TestPropagation:
             propagate_classical_rst(model, initial_rst_pure(phase * c), grid)
             for phase in (1.0, 1.0j, np.exp(0.25j * np.pi))
         ]
-        base = np.array([dm.data for dm in runs[0].sigma_normalized])
         for other in runs[1:]:
-            sigma = np.array([dm.data for dm in other.sigma_normalized])
-            assert np.abs(sigma - base).max() < 1e-12
+            assert np.abs(other.sigma - runs[0].sigma).max() < 1e-12
             assert np.abs(other.norm_factor - runs[0].norm_factor).max() < 1e-12
 
     def test_energy_shift_changes_dynamics(self):
@@ -196,9 +191,62 @@ class TestPropagation:
         model, init = make_chain(2, 1.0, 10.0, 1.0, 0)
         grid = TimeGrid(0.0, 4.0, 41)
         traj = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid)
-        sigma = np.array([assemble_sigma(st).data for st in traj.states])
+        sigma = assemble_sigma(traj.states)
         ens = run_kubo_ensemble(model, init.amplitudes, grid,
                                 NoiseSpec(gamma=model.gamma, seed=777), n_traj=2000)
         err = np.abs(ens.mean_bilinear - sigma)
         bound = 5.0 * ens.standard_error() + 1e-9
         assert np.all(err <= bound)
+
+
+def corrupt_middle_sample(monkeypatch, edit):
+    """Let the classical RK4 output carry one edited sample halfway along the run."""
+    rk4 = eetsim.classical.rk4_propagate
+
+    def corrupted(rhs, y0, grid, dt):
+        raw = rk4(rhs, y0, grid, dt)
+        edit(raw[grid.n_samples // 2].reshape(3, 2, 2))
+        return raw
+
+    monkeypatch.setattr(eetsim.classical, "rk4_propagate", corrupted)
+
+
+def set_sigma(sigma):
+    # phase-averaged moments R = S = sigma / 2, T = 0 of a real sigma
+    def edit(rst):
+        rst[:] = [0.5 * np.asarray(sigma), 0.5 * np.asarray(sigma), np.zeros((2, 2))]
+    return edit
+
+
+def skew_r(rst):
+    # R and S skewed oppositely: sigma stays Hermitian, only the R/S symmetry check sees it
+    rst[0, 0, 1] += 0.1
+    rst[1, 0, 1] -= 0.1
+
+
+class TestStackChecks:
+    """Every sample of the moment and sigma stacks is checked; one bad sample fails the run."""
+
+    @pytest.mark.parametrize("edit,exc_type", [
+        (skew_r, ValidationError),
+        (set_sigma(np.diag([1.1, -0.1])), NotPositive),
+        (set_sigma(np.zeros((2, 2))), NormCollapse),
+        # raw eigenvalue -5e-9 passes at scale 0.1; after dividing by the
+        # trace 0.1 it is -5e-8 and fails
+        (set_sigma(np.diag([0.1, -5e-9])), NotPositive),
+    ], ids=["asymmetric-r", "raw-negative-eigenvalue", "norm-collapse", "normalized-negative-eigenvalue"])
+    def test_bad_sample(self, monkeypatch, edit, exc_type):
+        model, init = make_chain(2, 1.0, 4.0, 0.5, 0)
+        corrupt_middle_sample(monkeypatch, edit)
+        with pytest.raises(exc_type) as info:
+            propagate_classical_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 1.0, 11))
+        assert type(info.value) is exc_type
+
+    def test_stacks_read_only(self):
+        model, init = make_chain(3, 1.0, 2.0, 0.5, 1)
+        traj = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 1.0, 11))
+        st = traj.states
+        for a in (st.r, st.s, st.t, traj.sigma):
+            assert a.shape == (11, 3, 3)
+        for a in (st.r, st.s, st.t, traj.sigma, traj.norm_factor):
+            assert not a.flags.writeable

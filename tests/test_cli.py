@@ -7,6 +7,18 @@ from eetsim.cli import main
 from eetsim.scenarios import fmo_model_path
 
 
+MIXED_DIMER = {
+    "units": "V",
+    "sites": [{"label": "a", "energy": 1.0}, {"label": "b", "energy": 1.0}],
+    "couplings": [{"i": 0, "j": 1, "value": 0.2}],
+    "gamma": 0.1,
+    "initial_state": {"mixture": [
+        {"weight": 0.5, "amplitudes": [1.0, 0.0]},
+        {"weight": 0.5, "amplitudes": [0.0, 1.0]},
+    ]},
+}
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -96,21 +108,30 @@ class TestRun:
         assert "engine=lindblad" in err and "StepTooLarge" in err
 
     def test_mixed_initial_rejects_sse(self, tmp_path):
-        doc = {
-            "units": "V",
-            "sites": [{"label": "a", "energy": 1.0}, {"label": "b", "energy": 1.0}],
-            "couplings": [{"i": 0, "j": 1, "value": 0.2}],
-            "gamma": 0.1,
-            "initial_state": {"mixture": [
-                {"weight": 0.5, "amplitudes": [1.0, 0.0]},
-                {"weight": 0.5, "amplitudes": [0.0, 1.0]},
-            ]},
-        }
         path = tmp_path / "mixed.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(MIXED_DIMER))
         code = run_cli("run", "--model", str(path), "--engines", "sse",
                        "--grid", "0:1:6", "--ntraj", "10", "--out", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("scenario,engines,extra", [
+        (["--chain", "2,V=1,eps=2,gamma=1,start=0"], "sse", ["--ntraj", "0"]),
+        (["--chain", "2,V=1,eps=2,gamma=1,start=0"], "lindblad,sse", ["--ntraj", "-1"]),
+        (["--chain", "2,V=1,eps=0,gamma=1,start=0"], "lindblad,bessel", []),
+        (["--model", str(fmo_model_path())], "classical,bessel", []),
+        (["--model", "MIXED"], "lindblad,kubo", ["--ntraj", "10"]),
+    ], ids=["ntraj-zero", "ntraj-negative", "bessel-gamma", "bessel-model-file", "kubo-mixed"])
+    def test_config_checked_before_any_engine(self, tmp_path, capsys, scenario, engines, extra):
+        # a configuration error exits 2 before any engine writes its file
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(MIXED_DIMER))
+        scenario = [str(mixed) if arg == "MIXED" else arg for arg in scenario]
+        out = tmp_path / "out"
+        code = run_cli("run", *scenario, "--engines", engines, "--grid", "0:0.01:3", *extra,
+                       "--out", str(out))
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_classical_ignores_global_phase(self, tmp_path):
         # c and i c are one quantum state, so the classical output must agree

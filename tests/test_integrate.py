@@ -106,4 +106,4 @@ class TestLinearize:
 
     def test_passthrough_beyond_threshold(self):
         direct = lambda y: 2.0 * y
-        assert linearize_rhs(direct, 1000, threshold=600) is direct
+        assert linearize_rhs(direct, 1000) is direct

@@ -5,9 +5,7 @@ from eetsim import (
     AggregateModel,
     DensityMatrix,
     build_aggregate,
-    commutator_action,
     convert_energy,
-    dephasing_action,
     pure_density,
     rca_check,
 )
@@ -18,6 +16,7 @@ from eetsim.errors import (
     NotPositive,
     ValidationError,
 )
+from eetsim.model import _check_stack
 
 
 def nn_chain_arrays(n, v, eps, gamma):
@@ -31,6 +30,19 @@ def random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def density_stack(n_samples, n, seed):
+    """Unit-trace positive matrices h h^H / tr(h h^H) from random Hermitian h."""
+    h = np.array([random_hermitian(n, seed + k) for k in range(n_samples)])
+    rho = h @ h
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def raises_exactly(exc_type, fn, *args):
+    with pytest.raises(exc_type) as info:
+        fn(*args)
+    assert type(info.value) is exc_type
 
 
 class TestBuildAggregate:
@@ -91,79 +103,6 @@ class TestBuildAggregate:
         model = build_aggregate([1.0, 1.0], [[0, 1], [1, 0]], [0.0, 0.0])
         with pytest.raises(ValueError):
             model.coupling[0, 1] = 2.0
-
-
-class TestCommutatorAction:
-    def test_identity_commutes(self):
-        model = build_aggregate([1.0, 2.0], [[0, 0.3], [0.3, 0]], [0.0, 0.0])
-        out = commutator_action(model, np.eye(2))
-        assert np.abs(out).max() < 1e-15
-
-    def test_dimer_hand_value(self):
-        # eps = [0, 0], V = 1, m = |1><1|: hand evaluation of -i[H, m]
-        model = build_aggregate([0.0, 0.0], [[0, 1.0], [1.0, 0]], [0.0, 0.0])
-        m = np.diag([1.0, 0.0]).astype(complex)
-        expected = np.array([[0.0, 1j], [-1j, 0.0]])
-        assert np.abs(commutator_action(model, m) - expected).max() < 1e-15
-
-    @pytest.mark.parametrize("n,seed", [(2, 0), (5, 1), (9, 2)])
-    def test_traceless_on_hermitian(self, n, seed):
-        rng = np.random.default_rng(seed + 10)
-        v = rng.normal(size=(n, n))
-        v = 0.5 * (v + v.T)
-        np.fill_diagonal(v, 0.0)
-        model = build_aggregate(rng.normal(size=n), v, np.zeros(n))
-        m = random_hermitian(n, seed)
-        out = commutator_action(model, m)
-        assert abs(np.trace(out)) < 1e-13 * max(1.0, np.abs(m).max())
-
-    def test_hermiticity_preserving(self):
-        model = build_aggregate([1.0, 3.0, 2.0], np.array(
-            [[0, 0.5, 0.1], [0.5, 0, 0.2], [0.1, 0.2, 0]]), np.zeros(3))
-        m = random_hermitian(3, 7)
-        out = commutator_action(model, m)
-        assert np.abs(out - out.conj().T).max() < 1e-14
-
-    def test_dimension_mismatch(self):
-        model = build_aggregate([1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0])
-        with pytest.raises(DimensionMismatch):
-            commutator_action(model, np.eye(3))
-
-
-class TestDephasingAction:
-    def test_diagonal_exactly_zero(self):
-        model = build_aggregate([1.0, 2.0, 3.0], np.zeros((3, 3)), [0.3, 0.7, 1.3])
-        out = dephasing_action(model, random_hermitian(3, 3))
-        assert np.all(np.diag(out) == 0.0)
-
-    def test_dimer_equal_rates(self):
-        gamma = 0.8
-        model = build_aggregate([0.0, 0.0], np.zeros((2, 2)), [gamma, gamma])
-        m = np.array([[0.0, 0.25 + 0.1j], [0.25 - 0.1j, 0.0]])
-        out = dephasing_action(model, m)
-        assert np.isclose(out[0, 1], -gamma * m[0, 1])
-
-    def test_spec_rates_one_four(self):
-        model = build_aggregate([0.0, 0.0], np.zeros((2, 2)), [1.0, 4.0])
-        m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        out = dephasing_action(model, m)
-        assert out[0, 1] == -2.5
-
-    def test_negative_multiple_offdiagonal(self):
-        rng = np.random.default_rng(11)
-        model = build_aggregate(np.zeros(4), np.zeros((4, 4)), rng.uniform(0.1, 2.0, 4))
-        m = random_hermitian(4, 12)
-        out = dephasing_action(model, m)
-        for i in range(4):
-            for j in range(4):
-                if i != j and m[i, j] != 0:
-                    ratio = out[i, j] / m[i, j]
-                    assert ratio.real < 0 and abs(ratio.imag) < 1e-14
-
-    def test_preserves_hermiticity(self):
-        model = build_aggregate(np.zeros(3), np.zeros((3, 3)), [0.5, 1.0, 2.0])
-        out = dephasing_action(model, random_hermitian(3, 5))
-        assert np.abs(out - out.conj().T).max() < 1e-14
 
 
 class TestRcaCheck:
@@ -249,3 +188,32 @@ class TestDensityMatrix:
         dm = pure_density([1.0, 0.0])
         with pytest.raises(ValueError):
             dm.data[0, 0] = 2.0
+
+
+class TestCheckStack:
+    def test_valid_stack_made_read_only(self):
+        rho = density_stack(9, 4, 0)
+        out = _check_stack(rho, 1e-8)
+        assert out is rho
+        assert not out.flags.writeable
+
+    def test_non_hermitian_middle_sample(self):
+        rho = density_stack(9, 4, 1)
+        rho[4, 0, 1] += 1e-3
+        raises_exactly(ValidationError, _check_stack, rho, 1e-8)
+
+    def test_negative_eigenvalue_middle_sample(self):
+        rho = density_stack(9, 4, 2)
+        rho[4] = np.diag([1.1, -0.1, 0.0, 0.0])
+        raises_exactly(NotPositive, _check_stack, rho, 1e-8)
+
+    def test_tolerance_scales_with_each_sample(self):
+        # -5e-7 is within 1e-8 of a sample whose largest entry is 100, not of one at 1
+        rho = density_stack(9, 2, 3)
+        rho[4] = np.diag([100.0, -5e-7])
+        _check_stack(rho.copy(), 1e-8)
+        rho[5] = np.diag([1.0, -5e-7])
+        raises_exactly(NotPositive, _check_stack, rho, 1e-8)
+
+    def test_not_square(self):
+        raises_exactly(DimensionMismatch, _check_stack, np.zeros((3, 2, 4), complex), 1e-8)

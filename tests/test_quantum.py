@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eetsim.quantum
 from eetsim import (
     DensityMatrix,
     TimeGrid,
@@ -11,7 +12,7 @@ from eetsim import (
     propagate_quantum_rst,
     pure_density,
 )
-from eetsim.errors import InvalidInitialState, StepTooLarge
+from eetsim.errors import EetsimError, InvalidInitialState, NotPositive, StepTooLarge, ValidationError
 
 
 def random_model(n, seed, eps_scale=5.0, gamma_scale=1.0):
@@ -46,11 +47,11 @@ class TestLindblad:
         c0[2] = 1.0
         grid = TimeGrid(0.0, 8.0, 81)
         traj = propagate_lindblad(model, pure_density(c0), grid)
-        for dm in traj.states:
-            assert abs(dm.trace - 1.0) < 1e-8
-            herm = np.abs(dm.data - dm.data.conj().T).max()
-            assert herm < 1e-10 * max(1.0, np.abs(dm.data).max())
-            assert dm.min_eigenvalue() > -1e-8
+        for rho in traj.rho:
+            assert abs(np.trace(rho).real - 1.0) < 1e-8
+            herm = np.abs(rho - rho.conj().T).max()
+            assert herm < 1e-10 * max(1.0, np.abs(rho).max())
+            assert np.linalg.eigvalsh(rho).min() > -1e-8
 
     def test_global_energy_shift_invariance(self):
         model = random_model(4, seed=8)
@@ -61,7 +62,7 @@ class TestLindblad:
         grid = TimeGrid(0.0, 5.0, 51, dt_integrate=dt)
         base = propagate_lindblad(model, pure_density(c0), grid)
         moved = propagate_lindblad(shifted, pure_density(c0), grid)
-        diff = max(np.abs(a.data - b.data).max() for a, b in zip(base.states, moved.states))
+        diff = np.abs(base.rho - moved.rho).max()
         assert diff < 1e-10
 
     def test_step_guard(self):
@@ -75,7 +76,7 @@ class TestLindblad:
         grid = TimeGrid(0.0, 1.0, 11)
         with pytest.raises(InvalidInitialState):
             propagate_lindblad(model, pure_density([1.0, 0.0, 0.0]), grid)
-        half = DensityMatrix(np.diag([0.25, 0.25]), check_psd=False)
+        half = DensityMatrix(np.diag([0.25, 0.25]))
         with pytest.raises(InvalidInitialState):
             propagate_lindblad(model, half, grid)
 
@@ -96,17 +97,14 @@ class TestQuantumRst:
         grid = TimeGrid(0.0, 6.0, 61)
         lind = propagate_lindblad(model, init.rho, grid)
         rst = propagate_quantum_rst(model, initial_rst_pure(init.amplitudes), grid)
-        diff = max(
-            np.abs(a.populations() - b.populations()).max() for a, b in zip(lind.states, rst)
-        )
+        diff = np.abs(lind.populations() - rst.populations()).max()
         assert diff < 1e-8
 
     def test_uncoupled_populations_static(self):
         model = build_aggregate([3.0, 7.0], np.zeros((2, 2)), [0.0, 0.0])
         c0 = np.array([0.6, 0.8], dtype=complex)
         grid = TimeGrid(0.0, 4.0, 41)
-        states = propagate_quantum_rst(model, initial_rst_pure(c0), grid)
-        pops = np.array([dm.populations() for dm in states])
+        pops = propagate_quantum_rst(model, initial_rst_pure(c0), grid).populations()
         assert np.abs(pops - [0.36, 0.64]).max() < 1e-10
 
     def test_cross_engine_with_noise(self):
@@ -115,12 +113,80 @@ class TestQuantumRst:
         grid = TimeGrid(0.0, 6.0, 31)
         lind = propagate_lindblad(model, pure_density(c0), grid)
         rst = propagate_quantum_rst(model, initial_rst_pure(c0), grid)
-        diff = max(np.abs(a.data - b.data).max() for a, b in zip(lind.states, rst))
+        diff = np.abs(lind.rho - rst.rho).max()
         assert diff < 1e-7
 
     def test_trace_checked(self):
         model, init = make_chain(3, 1.0, 0.0, 0.5, 1)
         grid = TimeGrid(0.0, 3.0, 31)
-        states = propagate_quantum_rst(model, initial_rst_pure(init.amplitudes), grid)
-        for dm in states:
-            assert abs(dm.trace - 1.0) < 1e-8
+        traj = propagate_quantum_rst(model, initial_rst_pure(init.amplitudes), grid)
+        for rho in traj.rho:
+            assert abs(np.trace(rho).real - 1.0) < 1e-8
+
+
+def corrupt_middle_sample(monkeypatch, edit):
+    """Let the engines' RK4 output carry one edited sample halfway along the run."""
+    rk4 = eetsim.quantum.rk4_propagate
+
+    def corrupted(rhs, y0, grid, dt):
+        raw = rk4(rhs, y0, grid, dt)
+        edit(raw[grid.n_samples // 2])
+        return raw
+
+    monkeypatch.setattr(eetsim.quantum, "rk4_propagate", corrupted)
+
+
+def set_density(rho):
+    def edit(row):
+        row.view(complex).reshape(2, 2)[:] = rho
+    return edit
+
+
+def set_moments(rho):
+    # phase-averaged moments R = S = Re(rho) / 2, T = -Im(rho) / 2 of a real rho
+    def edit(row):
+        row[:] = np.concatenate([0.5 * np.ravel(rho), 0.5 * np.ravel(rho), np.zeros(4)])
+    return edit
+
+
+def skew_moments(row):
+    # R and S skewed oppositely: rho stays Hermitian, only the R/S symmetry check sees it
+    rst = row.reshape(3, 2, 2)
+    rst[0, 0, 1] += 0.1
+    rst[1, 0, 1] -= 0.1
+
+
+class TestStackChecks:
+    """Every sample of the stack is checked; one bad sample fails the run."""
+
+    @pytest.mark.parametrize("edit,exc_type", [
+        (set_density([[0.5, 0.6], [0.0, 0.5]]), ValidationError),
+        (set_density(np.diag([1.1, -0.1])), NotPositive),
+        (set_density(np.diag([0.6, 0.5])), EetsimError),
+    ], ids=["non-hermitian", "negative-eigenvalue", "trace-drift"])
+    def test_lindblad_bad_sample(self, monkeypatch, edit, exc_type):
+        model, init = make_chain(2, 1.0, 0.0, 0.5, 0)
+        corrupt_middle_sample(monkeypatch, edit)
+        with pytest.raises(exc_type) as info:
+            propagate_lindblad(model, init.rho, TimeGrid(0.0, 1.0, 11))
+        assert type(info.value) is exc_type
+
+    @pytest.mark.parametrize("edit,exc_type", [
+        (skew_moments, ValidationError),
+        (set_moments(np.diag([1.1, -0.1])), NotPositive),
+        (set_moments(np.diag([0.6, 0.5])), EetsimError),
+    ], ids=["asymmetric-r", "negative-eigenvalue", "trace-drift"])
+    def test_quantum_rst_bad_sample(self, monkeypatch, edit, exc_type):
+        model, init = make_chain(2, 1.0, 0.0, 0.5, 0)
+        corrupt_middle_sample(monkeypatch, edit)
+        with pytest.raises(exc_type) as info:
+            propagate_quantum_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 1.0, 11))
+        assert type(info.value) is exc_type
+
+    def test_stacks_read_only(self):
+        model, init = make_chain(3, 1.0, 2.0, 0.5, 1)
+        grid = TimeGrid(0.0, 1.0, 11)
+        for traj in (propagate_lindblad(model, init.rho, grid),
+                     propagate_quantum_rst(model, initial_rst_pure(init.amplitudes), grid)):
+            assert traj.rho.shape == (11, 3, 3)
+            assert not traj.rho.flags.writeable

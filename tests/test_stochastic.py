@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import eetsim.stochastic
 from eetsim import (
     NoiseSpec,
     TimeGrid,
-    accumulate_ensemble,
+    TrajectoryEnsemble,
     assemble_sigma,
     build_aggregate,
     derive_stream,
@@ -21,14 +22,18 @@ from eetsim.errors import GridMismatch, ValidationError, ZeroState
 from eetsim.stochastic import _strang_paths
 
 
+def accumulate(paths, grid):
+    """Fold amplitude paths into an ensemble, in order."""
+    ens = TrajectoryEnsemble(grid, np.shape(paths[0])[1])
+    for path in paths:
+        ens.add_path(path)
+    return ens
+
+
 class TestNoiseSpec:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             NoiseSpec(gamma=[-0.1], seed=1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            NoiseSpec(gamma=[0.1], seed=1, kind="pink")
 
 
 class TestDeriveStream:
@@ -57,8 +62,8 @@ class TestDeriveStream:
         assert np.array_equal(late, again)
 
     def test_blockwise_draws_concatenate(self):
-        # batching draws noise in one call per trajectory; equivalence with
-        # stepwise draws keeps single and batched samplers on one stream
+        # the samplers draw noise in segments of the path; equivalence with
+        # stepwise draws keeps every segmentation on one stream
         whole = derive_stream(11, 2).standard_normal((20, 3))
         gen = derive_stream(11, 2)
         steps = np.stack([gen.standard_normal(3) for _ in range(20)])
@@ -130,7 +135,7 @@ class TestAccumulate:
     def test_single_path_mean_is_outer(self):
         rng = np.random.default_rng(0)
         path = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        ens = accumulate_ensemble([path], self.grid())
+        ens = accumulate([path], self.grid())
         outer = path[:, :, None] * path[:, None, :].conj()
         outer = 0.5 * (outer + np.conj(np.swapaxes(outer, 1, 2)))
         assert np.allclose(ens.mean_bilinear, outer, atol=1e-15)
@@ -138,27 +143,23 @@ class TestAccumulate:
     def test_identical_paths_zero_error(self):
         rng = np.random.default_rng(1)
         path = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        ens = accumulate_ensemble([path, path.copy()], self.grid())
+        ens = accumulate([path, path.copy()], self.grid())
         assert np.all(ens.standard_error() == 0.0)
 
     def test_order_independence(self):
         rng = np.random.default_rng(2)
         paths = [rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)) for _ in range(8)]
-        fwd = accumulate_ensemble(paths, self.grid()).mean_bilinear
-        rev = accumulate_ensemble(paths[::-1], self.grid()).mean_bilinear
+        fwd = accumulate(paths, self.grid()).mean_bilinear
+        rev = accumulate(paths[::-1], self.grid()).mean_bilinear
         assert np.abs(fwd - rev).max() < 1e-12
 
     def test_grid_mismatch(self):
-        ens = accumulate_ensemble([np.ones((5, 2), complex)], self.grid())
+        ens = accumulate([np.ones((5, 2), complex)], self.grid())
         with pytest.raises(GridMismatch):
             ens.add_path(np.ones((4, 2), complex))
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            accumulate_ensemble([], self.grid())
-
     def test_standard_error_needs_two(self):
-        ens = accumulate_ensemble([np.ones((5, 2), complex)], self.grid())
+        ens = accumulate([np.ones((5, 2), complex)], self.grid())
         with pytest.raises(ValidationError):
             ens.standard_error()
 
@@ -184,7 +185,7 @@ class TestEnsembleDrivers:
             sample_sse_trajectory(model, init.amplitudes, grid, derive_stream(55, k))
             for k in range(6)
         ]
-        manual = accumulate_ensemble(paths, grid)
+        manual = accumulate(paths, grid)
         assert np.abs(driver.mean_bilinear - manual.mean_bilinear).max() < 1e-12
 
     def test_kubo_batched_equals_phase_drawn_sampling(self):
@@ -200,8 +201,71 @@ class TestEnsembleDrivers:
             theta = stream.uniform(0.0, 2.0 * np.pi)
             z0 = init.amplitudes * np.exp(1j * theta)
             paths.append(sample_kubo_trajectory(model, z0, grid, stream))
-        manual = accumulate_ensemble(paths, grid)
+        manual = accumulate(paths, grid)
         assert np.abs(driver.mean_bilinear - manual.mean_bilinear).max() < 1e-12
+
+    @pytest.mark.parametrize("segment_bytes", [1, 672, 9600])
+    def test_segmented_noise_equals_whole_path(self, monkeypatch, segment_bytes):
+        # 40 substeps per interval, batch of 6, 96 bytes of kicks per substep:
+        # blocks of 1, 7 (across interval ends) and 100 substeps, against the
+        # whole path in one block
+        model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
+        grid = TimeGrid(0.0, 2.0, 11)
+
+        def paths():
+            streams = [derive_stream(58, k) for k in range(6)]
+            return _strang_paths("sse", model, init.amplitudes, grid, streams)
+
+        whole = paths()
+        monkeypatch.setattr(eetsim.stochastic, "_SEGMENT_BYTES", segment_bytes)
+        assert np.array_equal(paths(), whole)
+
+    def test_segments_bounded_on_coarse_grid(self, monkeypatch):
+        # two sample intervals of 200 substeps each: a block must not grow
+        # to a whole interval when the budget holds only 10 substeps
+        model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
+        grid = TimeGrid(0.0, 2.0, 3)
+        drawn = []
+
+        class Recorder:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, shape, **kwargs):
+                drawn.append(shape)
+                return self.gen.standard_normal(shape, **kwargs)
+
+        def paths():
+            streams = [Recorder(derive_stream(59, k)) for k in range(6)]
+            return _strang_paths("sse", model, init.amplitudes, grid, streams)
+
+        whole = paths()
+        assert sum(shape[0] for shape in drawn) == 6 * 400
+        drawn.clear()
+        monkeypatch.setattr(eetsim.stochastic, "_SEGMENT_BYTES", 960)
+        assert np.array_equal(paths(), whole)
+        assert max(shape[0] for shape in drawn) == 10
+        assert sum(shape[0] for shape in drawn) == 6 * 400
+
+    def test_batch_capped_by_path_memory(self, monkeypatch):
+        # 11 samples x 2 sites x 16 bytes per path: a 700-byte budget makes
+        # batches of 1, 1, 1; the ensemble is unchanged
+        model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
+        grid = TimeGrid(0.0, 2.0, 11)
+        noise = NoiseSpec(gamma=model.gamma, seed=61)
+        whole = run_sse_ensemble(model, init.amplitudes, grid, noise, n_traj=3)
+        batches = []
+        strang = eetsim.stochastic._strang_paths
+
+        def recorded(kind, model, z0, grid, streams):
+            batches.append(len(streams))
+            return strang(kind, model, z0, grid, streams)
+
+        monkeypatch.setattr(eetsim.stochastic, "_strang_paths", recorded)
+        monkeypatch.setattr(eetsim.stochastic, "_CHUNK_MEMORY_BYTES", 700)
+        capped = run_sse_ensemble(model, init.amplitudes, grid, noise, n_traj=3)
+        assert batches == [1, 1, 1]
+        assert np.abs(capped.mean_bilinear - whole.mean_bilinear).max() < 1e-12
 
     def test_reruns_bit_identical(self):
         model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
@@ -210,7 +274,7 @@ class TestEnsembleDrivers:
         a = run_kubo_ensemble(model, init.amplitudes, grid, noise, n_traj=40)
         b = run_kubo_ensemble(model, init.amplitudes, grid, noise, n_traj=40)
         assert np.array_equal(a.mean_bilinear, b.mean_bilinear)
-        assert np.array_equal(a.m2, b.m2)
+        assert np.array_equal(a.standard_error(), b.standard_error())
 
     def test_gamma_mismatch_rejected(self):
         model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
@@ -223,7 +287,7 @@ class TestEnsembleDrivers:
         grid = TimeGrid(0.0, 3.0, 31)
         noise = NoiseSpec(gamma=model.gamma, seed=60)
         ens = run_sse_ensemble(model, init.amplitudes, grid, noise, n_traj=1500)
-        rho = np.array([dm.data for dm in propagate_lindblad(model, init.rho, grid).states])
+        rho = propagate_lindblad(model, init.rho, grid).rho
         err = np.abs(ens.mean_bilinear - rho)
         assert np.all(err <= 5.0 * ens.standard_error() + 1e-9)
 
@@ -233,6 +297,6 @@ class TestEnsembleDrivers:
         noise = NoiseSpec(gamma=model.gamma, seed=61)
         ens = run_kubo_ensemble(model, init.amplitudes, grid, noise, n_traj=1500)
         traj = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid)
-        sigma = np.array([assemble_sigma(st).data for st in traj.states])
+        sigma = assemble_sigma(traj.states)
         err = np.abs(ens.mean_bilinear - sigma)
         assert np.all(err <= 5.0 * ens.standard_error() + 1e-9)
