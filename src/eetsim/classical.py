@@ -133,7 +133,9 @@ def assemble_sigma(rst: RstState) -> np.ndarray:
     Works on one triple or a stack; returns the validated, read-only
     (..., N, N) sigma.
     """
-    sigma = rst.r + rst.s + 1j * (rst.t.swapaxes(-1, -2) - rst.t)
+    sigma = np.empty(rst.r.shape, dtype=complex)
+    np.add(rst.r, rst.s, out=sigma.real)
+    np.subtract(rst.t.swapaxes(-1, -2), rst.t, out=sigma.imag)
     return _check_stack(sigma, _TRAJECTORY_PSD_TOL)
 
 

@@ -194,7 +194,9 @@ def cmd_run(args) -> int:
 
     for engine in engines:
         try:
-            series = _run_one_engine(engine, model, initial, grid, chain, args)
+            # A blown-up run is reported by the engine's checks, not by numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                series = _run_one_engine(engine, model, initial, grid, chain, args)
         except EetsimError as exc:
             return _fail_numeric(engine, exc)
         destination = out_dir / f"{engine}.{args.format}"

@@ -160,14 +160,20 @@ def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V")
 def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
     """Validate a (..., N, N) stack of density matrices and make it read-only.
 
-    Each sample must be Hermitian relative to its own largest entry, have a
-    real trace, and have no eigenvalue below -psd_tol * max(1, largest
+    Each sample must be finite, Hermitian relative to its own largest entry,
+    have a real trace, and have no eigenvalue below -psd_tol * max(1, largest
     entry); one batched eigvalsh serves the whole stack.
     """
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"density matrix must be square, got shape {a.shape}")
     scale = np.abs(a).max(axis=(-2, -1))
-    herm = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = ~np.isfinite(scale)
+    if np.any(bad):
+        raise ValidationError(f"non-finite entry in sample {int(np.flatnonzero(bad)[0])}")
+    skew = a.conj().swapaxes(-1, -2)
+    skew -= a
+    herm = np.abs(skew).max(axis=(-2, -1))
+    del skew
     bad = herm > _HERMITICITY_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         raise ValidationError(f"matrix not Hermitian: max |A - A^H| = {herm[bad].flat[0]:.3e}")

@@ -1,10 +1,13 @@
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from eetsim.cli import main
 from eetsim.scenarios import fmo_model_path
+from eetsim.timeseries import read_timeseries
 
 
 MIXED_DIMER = {
@@ -106,6 +109,33 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert "engine=lindblad" in err and "StepTooLarge" in err
+
+    def test_blown_up_run_is_numeric_failure(self, tmp_path, capsys):
+        # the classical norm factor passes 1e269 by t = 500 and overflows
+        # before t = 1000: exit 1 with one stderr line, no file, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                           "--engines", "classical", "--grid", "0:1000:3",
+                           "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("eetsim: error: engine=classical ValidationError")
+        assert not (tmp_path / "classical.csv").exists()
+
+    def test_long_grid_small_system(self, tmp_path):
+        # 10^9 RK4 substeps of 1e-3: a small system applies each sample
+        # interval as one precomputed RK4 power instead of stepping for hours
+        start = time.perf_counter()
+        code = run_cli("run", "--chain", "2,V=1,eps=10,gamma=1,start=0",
+                       "--engines", "lindblad", "--grid", "0:1e6:3", "--out", str(tmp_path))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert elapsed < 10.0
+        series = read_timeseries(tmp_path / "lindblad.csv")
+        trace = series.channels["population:0"] + series.channels["population:1"]
+        assert np.abs(trace - 1.0).max() <= 1e-8
 
     def test_mixed_initial_rejects_sse(self, tmp_path):
         path = tmp_path / "mixed.json"

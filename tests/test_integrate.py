@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from eetsim import build_aggregate
+from eetsim import build_aggregate, initial_rst_pure, load_model, fmo_model_path
+from eetsim.classical import _rst_rhs
 from eetsim.errors import StepTooLarge, ValidationError
 from eetsim.integrate import (
     TimeGrid,
+    _rk4_map,
     linearize_rhs,
     rate_scale,
     resolve_step,
     rk4_propagate,
     substep_plan,
 )
+from eetsim.quantum import _lindblad_rhs, _pack_density
 
 
 class TestTimeGrid:
@@ -74,13 +77,15 @@ class TestRk4:
         import scipy.linalg
 
         exact = scipy.linalg.expm(a) @ y0
-        errors = []
-        for dt in (0.05, 0.025):
-            grid = TimeGrid(0.0, 1.0, 2, dt_integrate=dt)
-            out = rk4_propagate(lambda y: a @ y, y0, grid, dt)
-            errors.append(np.abs(out[-1] - exact).max())
-        ratio = errors[0] / errors[1]
-        assert 12.0 < ratio < 20.0
+        # the callback loop and the dense per-interval map
+        for rhs in (lambda y: a @ y, a):
+            errors = []
+            for dt in (0.05, 0.025):
+                grid = TimeGrid(0.0, 1.0, 2, dt_integrate=dt)
+                out = rk4_propagate(rhs, y0, grid, dt)
+                errors.append(np.abs(out[-1] - exact).max())
+            ratio = errors[0] / errors[1]
+            assert 12.0 < ratio < 20.0
 
     def test_exponential_decay(self):
         grid = TimeGrid(0.0, 3.0, 31)
@@ -99,11 +104,48 @@ class TestLinearize:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(12, 12))
         direct = lambda y: a @ y
-        fast = linearize_rhs(direct, 12)
+        generator = linearize_rhs(direct, 12)
         for _ in range(5):
             y = rng.normal(size=12)
-            assert np.allclose(fast(y), direct(y), atol=1e-13)
+            assert np.allclose(generator @ y, direct(y), atol=1e-13)
 
     def test_passthrough_beyond_threshold(self):
         direct = lambda y: 2.0 * y
         assert linearize_rhs(direct, 1000) is direct
+
+
+def rk4_step_matrix(a, h):
+    ah = h * a
+    return sum(np.linalg.matrix_power(ah, k) / f for k, f in enumerate((1, 1, 2, 6, 24)))
+
+
+class TestRk4Map:
+    @pytest.mark.parametrize("n_sub", [1, 2, 7, 2380])
+    def test_equals_power_of_step_matrix(self, n_sub):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
+        h = 1e-3
+        expected = np.linalg.matrix_power(rk4_step_matrix(a, h), n_sub)
+        got = _rk4_map(a, n_sub, h)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("engine", ["lindblad", "classical"])
+    def test_fmo_matches_callback_loop(self, engine):
+        # realistic FMO energies, 20 intervals of 2380 substeps.  Rounding in
+        # the dense powers grows with the rotation per interval: 1e-13 on
+        # the classical D = 147 system, whose on-site terms turn 45 rad per
+        # interval, 6e-15 on the Lindblad D = 98 one, which sees only gaps
+        model, init = load_model(fmo_model_path())
+        if engine == "lindblad":
+            rhs = _lindblad_rhs(model)
+            y0 = _pack_density(init.rho.data)
+        else:
+            rhs = _rst_rhs(model, quantum=False)
+            y0 = initial_rst_pure(init.amplitudes).pack()
+        grid = TimeGrid(0.0, 0.2, 21)
+        dt = resolve_step(model, grid)
+        generator = linearize_rhs(rhs, y0.size)
+        assert generator.shape == (y0.size, y0.size)
+        mapped = rk4_propagate(generator, y0, grid, dt)
+        stepped = rk4_propagate(lambda y: generator @ y, y0, grid, dt)
+        assert np.abs(mapped - stepped).max() <= 2e-13 * np.abs(stepped).max()

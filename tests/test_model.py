@@ -207,6 +207,12 @@ class TestCheckStack:
         rho[4] = np.diag([1.1, -0.1, 0.0, 0.0])
         raises_exactly(NotPositive, _check_stack, rho, 1e-8)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_middle_sample(self, value):
+        rho = density_stack(9, 4, 4)
+        rho[4, 1, 1] = value
+        raises_exactly(ValidationError, _check_stack, rho, 1e-8)
+
     def test_tolerance_scales_with_each_sample(self):
         # -5e-7 is within 1e-8 of a sample whose largest entry is 100, not of one at 1
         rho = density_stack(9, 2, 3)

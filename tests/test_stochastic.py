@@ -19,7 +19,8 @@ from eetsim import (
     sample_sse_trajectory,
 )
 from eetsim.errors import GridMismatch, ValidationError, ZeroState
-from eetsim.stochastic import _strang_paths
+from eetsim.integrate import resolve_step, substep_plan
+from eetsim.stochastic import _deterministic_rhs, _strang_paths
 
 
 def accumulate(paths, grid):
@@ -126,6 +127,32 @@ class TestKuboTrajectory:
         path = sample_kubo_trajectory(model, init.amplitudes, grid, derive_stream(6, 0))
         norms = np.sum(np.abs(path) ** 2, axis=1)
         assert np.abs(norms - 1.0).max() > 1e-3
+
+
+class TestStrangMap:
+    @pytest.mark.parametrize("kind", ["sse", "kubo"])
+    def test_substep_equals_four_call_rk4(self, kind):
+        # one substep: RK4 half step, phase kick, RK4 half step, each half
+        # step the explicit four-call formula
+        model, _ = make_chain(3, 1.0, 2.0, 0.8, 0)
+        grid = TimeGrid(0.0, 0.004, 2)
+        (n_sub, h), = substep_plan(grid, resolve_step(model, grid))
+        assert n_sub == 1
+        z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])
+        got = _strang_paths(kind, model, z0, grid, [derive_stream(3, 0)])[0, 1]
+
+        rhs = _deterministic_rhs(model, kind)
+
+        def half_step(z):
+            k1 = rhs(z)
+            k2 = rhs(z + (0.25 * h) * k1)
+            k3 = rhs(z + (0.25 * h) * k2)
+            k4 = rhs(z + (0.5 * h) * k3)
+            return z + (h / 12.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+        kick = np.exp(-1j * np.sqrt(h * model.gamma) * derive_stream(3, 0).standard_normal((1, 3))[0])
+        expected = half_step(half_step(z0) * kick)
+        assert np.abs(got - expected).max() <= 1e-14
 
 
 class TestAccumulate:
