@@ -36,8 +36,6 @@ from .stochastic import (
     derive_stream,
     run_kubo_ensemble,
     run_sse_ensemble,
-    sample_kubo_trajectory,
-    sample_sse_trajectory,
 )
 from .timeseries import (
     DiffReport,
@@ -91,8 +89,6 @@ __all__ = [
     "resolve_step",
     "run_kubo_ensemble",
     "run_sse_ensemble",
-    "sample_kubo_trajectory",
-    "sample_sse_trajectory",
     "series_from_classical",
     "series_from_ensemble",
     "series_from_quantum",

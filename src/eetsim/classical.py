@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
     ZeroState,
 )
-from .integrate import TimeGrid, linearize_rhs, resolve_step, rk4_propagate
+from .integrate import TimeGrid, resolve_step, rk4_propagate
 from .model import AggregateModel, DensityMatrix, _check_stack
 
 _SYMMETRY_TOL = 1e-12
@@ -247,8 +247,7 @@ def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGri
         )
     dt = resolve_step(model, grid)
     y0 = rst0.pack()
-    rhs = linearize_rhs(_rst_rhs(model, quantum=False), y0.size)
-    raw = rk4_propagate(rhs, y0, grid, dt)
+    raw = rk4_propagate(_rst_rhs(model, quantum=False), y0, grid, dt)
     states = _moment_stack(raw, model.n_sites)
     sigma, norms = normalize_sigma(assemble_sigma(states))
     return ClassicalTrajectory(grid=grid, states=states, sigma=sigma, norm_factor=norms)

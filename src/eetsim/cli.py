@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 numerical failure (naming the engine), 2
 configuration error.  Every error path prints a single machine-parsable line
-to standard error.  The default output directory is taken from the
-``EETSIM_OUTDIR`` environment variable when set.
+to standard error.  A failed run leaves the output directory as it found it.
+The default output directory is taken from the ``EETSIM_OUTDIR`` environment
+variable when set.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -192,15 +194,39 @@ def cmd_run(args) -> int:
     except (json.JSONDecodeError, OSError, ValidationError, EetsimError) as exc:
         return _fail_config(str(exc))
 
-    for engine in engines:
-        try:
-            # A blown-up run is reported by the engine's checks, not by numpy warnings.
-            with np.errstate(over="ignore", invalid="ignore"):
-                series = _run_one_engine(engine, model, initial, grid, chain, args)
-        except EetsimError as exc:
-            return _fail_numeric(engine, exc)
-        destination = out_dir / f"{engine}.{args.format}"
-        write_timeseries(series, args.format, destination)
+    destinations = [out_dir / f"{engine}.{args.format}" for engine in engines]
+    # Files of an earlier run wait under hidden temporary names until every
+    # engine has succeeded.  After a failure this run's files are removed and
+    # the earlier ones put back.
+    earlier = {}
+    written = []
+    complete = False
+    try:
+        for destination in dict.fromkeys(destinations):
+            if destination.exists():
+                handle, name = tempfile.mkstemp(prefix=f".{destination.name}.", dir=out_dir)
+                os.close(handle)
+                earlier[destination] = destination.replace(name)
+        for engine, destination in zip(engines, destinations):
+            try:
+                # A blown-up run is reported by the engine's checks, not by numpy warnings.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    series = _run_one_engine(engine, model, initial, grid, chain, args)
+            except EetsimError as exc:
+                return _fail_numeric(engine, exc)
+            written.append(destination)
+            write_timeseries(series, args.format, destination)
+        complete = True
+    finally:
+        if not complete:
+            for destination in written:
+                destination.unlink(missing_ok=True)
+        for destination, hidden in earlier.items():
+            if complete:
+                hidden.unlink()
+            else:
+                hidden.replace(destination)
+    for destination in destinations:
         print(f"wrote {destination}")
     return 0
 

@@ -5,11 +5,11 @@ density matrix, 3 N^2 for a second-moment triple) and supplies a linear
 derivative callback, so a single tested integrator serves all of them.  Fixed
 steps keep runs deterministic and bit-reproducible.
 
-Because every engine is a linear autonomous ODE y' = L y, one RK4 substep is
-the fixed matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24.  Small systems
-probe L once and advance each sample interval by the single matrix P^n_sub,
-built by binary powering, so a long grid costs O(log n_sub) matrix products;
-large systems keep stepping the callback.
+One step rule serves every engine: the uniform sample spacing splits into
+n_sub equal substeps h.  Each engine is a linear autonomous ODE y' = L y, so
+one RK4 substep is the fixed matrix P = I + hL + ... + (hL)^4/24.  Small
+systems probe L once and advance each sample interval by P^n_sub, built by
+binary powering in O(log n_sub) products; large systems step the callback.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import StepTooLarge, ValidationError
+from .errors import EetsimError, StepTooLarge, ValidationError
 from .model import AggregateModel
 
 #: A step is refused when dt * fastest-rate exceeds this.
 STEP_GUARD = 0.1
 #: Default step resolves the fastest phase with 100 steps per radian.
 DEFAULT_STEP_FACTOR = 0.01
-#: Up to this flat dimension the engines advance by a dense per-interval RK4
-#: map; beyond it the map measured slower than stepping the callback, and one
-#: D x D matrix would dominate the run's memory.
+#: Up to this flat dimension rk4_propagate advances by a dense per-interval
+#: RK4 map; beyond it the map measured slower than stepping the callback, and
+#: one D x D matrix would dominate the run's memory.
 _LINEARIZE_MAX_DIM = 600
 
 
@@ -51,6 +51,8 @@ class TimeGrid:
             raise ValidationError("t_end must exceed t_start")
         if self.n_samples < 2:
             raise ValidationError("need at least two samples")
+        if not math.isfinite(self.spacing):  # an infinite bound or an overflowing span
+            raise ValidationError("t_start, t_end and the sample spacing must be finite")
         if self.dt_integrate is not None:
             if not self.dt_integrate > 0.0:
                 raise ValidationError("dt_integrate must be positive")
@@ -91,28 +93,12 @@ def resolve_step(model: AggregateModel, grid: TimeGrid) -> float:
 
 
 def _substeps(span: float, dt: float) -> tuple[int, float]:
-    n_sub = max(1, math.ceil(span / dt - 1e-9))
+    """The step rule: (n_sub, h) with n_sub equal substeps h <= dt spanning ``span``."""
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        raise EetsimError(f"sample spacing {span:.3e} over step {dt:.3e} needs too many substeps")
+    n_sub = max(1, math.ceil(ratio - 1e-9))
     return n_sub, span / n_sub
-
-
-def substep_plan(grid: TimeGrid, dt: float) -> list[tuple[int, float]]:
-    """Per-interval (n_substeps, h) so that h <= dt and substeps land on samples."""
-    times = grid.times
-    return [_substeps(float(times[i + 1] - times[i]), dt) for i in range(grid.n_samples - 1)]
-
-
-def linearize_rhs(rhs, dim: int):
-    """The dense D x D generator of a linear autonomous derivative, for small D.
-
-    The engines' derivative callbacks are linear in the state, so for small
-    systems it pays to probe them once per basis vector; :func:`rk4_propagate`
-    then advances by matrix products.  Beyond ``_LINEARIZE_MAX_DIM`` the
-    callback is returned unchanged.
-    """
-    if dim > _LINEARIZE_MAX_DIM:
-        return rhs
-    basis = np.eye(dim)
-    return np.column_stack([rhs(basis[i]) for i in range(dim)])
 
 
 def _rk4_map(generator: np.ndarray, n_sub: int, h: float) -> np.ndarray:
@@ -158,32 +144,31 @@ def _rk4_map(generator: np.ndarray, n_sub: int, h: float) -> np.ndarray:
 
 
 def rk4_propagate(rhs, y0: np.ndarray, grid: TimeGrid, dt: float) -> np.ndarray:
-    """Classic fixed-step RK4, sampling the state at every grid time.
+    """Fixed-step RK4 of a linear autonomous derivative ``rhs``, sampled at every grid time.
 
-    ``rhs`` is either the D x D generator from :func:`linearize_rhs` or a
-    callback mapping a flat real state vector to its time derivative
-    (autonomous systems only).  A generator is advanced by one interval map,
-    the RK4 step matrix for the substep ``h`` that the step rule gives the
-    grid spacing, raised to its ``n_sub``; each sample is that map times the
-    previous one.  A callback is stepped substep by substep along
-    :func:`substep_plan`.  Returns an array of shape (n_samples, len(y0)).
+    Every interval takes the ``n_sub`` substeps ``h`` of :func:`_substeps`.  Up
+    to ``_LINEARIZE_MAX_DIM`` the callback is probed once per basis vector and
+    each sample is the interval map P^n_sub times the previous one; beyond it
+    the callback is stepped.  Returns an array of shape (n_samples, len(y0)).
     """
     y = np.asarray(y0, dtype=float).copy()
+    n_sub, h = _substeps(grid.spacing, dt)
     out = np.empty((grid.n_samples, y.size))
     out[0] = y
-    if isinstance(rhs, np.ndarray):
-        interval = _rk4_map(rhs, *_substeps(grid.spacing, dt))
+    if y.size <= _LINEARIZE_MAX_DIM:
+        generator = np.column_stack([rhs(e) for e in np.eye(y.size)])
+        interval = _rk4_map(generator, n_sub, h)
         for i in range(grid.n_samples - 1):
             np.matmul(interval, out[i], out=out[i + 1])
         return out
-    for i, (n_sub, h) in enumerate(substep_plan(grid, dt)):
-        half = 0.5 * h
-        sixth = h / 6.0
+    half = 0.5 * h
+    sixth = h / 6.0
+    for i in range(1, grid.n_samples):
         for _ in range(n_sub):
             k1 = rhs(y)
             k2 = rhs(y + half * k1)
             k3 = rhs(y + half * k2)
             k4 = rhs(y + h * k3)
             y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[i + 1] = y
+        out[i] = y
     return out

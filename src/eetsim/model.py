@@ -136,6 +136,8 @@ def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V")
         raise ValidationError("epsilon contains non-finite values")
     if not np.all(np.isfinite(v)):
         raise ValidationError("coupling contains non-finite values")
+    if not np.all(np.isfinite(gam)):
+        raise ValidationError("gamma contains non-finite values")
     if np.any(gam < 0.0):
         raise NegativeRate(f"gamma must be non-negative, got min {gam.min()}")
     if units not in UNIT_SYSTEMS:

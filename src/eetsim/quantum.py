@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import RstState, _moment_stack, _rst_rhs, assemble_sigma
 from .errors import EetsimError, InvalidInitialState
-from .integrate import TimeGrid, linearize_rhs, resolve_step, rk4_propagate
+from .integrate import TimeGrid, resolve_step, rk4_propagate
 from .model import AggregateModel, DensityMatrix, _check_stack
 
 _TRACE_TOL = 1e-8
@@ -104,8 +104,7 @@ def propagate_lindblad(model: AggregateModel, rho0: DensityMatrix, grid: TimeGri
     n = model.n_sites
     dt = resolve_step(model, grid)
     y0 = _pack_density(rho0.data)
-    rhs = linearize_rhs(_lindblad_rhs(model), y0.size)
-    raw = rk4_propagate(rhs, y0, grid, dt)
+    raw = rk4_propagate(_lindblad_rhs(model), y0, grid, dt)
     rho = _check_stack(raw.view(complex).reshape(-1, n, n), _TRAJECTORY_PSD_TOL)
     _check_unit_trace(rho)
     return QuantumTrajectory(grid=grid, rho=rho)
@@ -126,8 +125,7 @@ def propagate_quantum_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid)
         )
     dt = resolve_step(model, grid)
     y0 = rst0.pack()
-    rhs = linearize_rhs(_rst_rhs(model, quantum=True), y0.size)
-    raw = rk4_propagate(rhs, y0, grid, dt)
+    raw = rk4_propagate(_rst_rhs(model, quantum=True), y0, grid, dt)
     rho = assemble_sigma(_moment_stack(raw, model.n_sites))
     _check_unit_trace(rho)
     return QuantumTrajectory(grid=grid, rho=rho)

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eetsim.cli import main
 from eetsim.scenarios import fmo_model_path
@@ -123,6 +129,74 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith("eetsim: error: engine=classical ValidationError")
         assert not (tmp_path / "classical.csv").exists()
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_gamma_is_config_error(self, tmp_path, capsys, rate):
+        out = tmp_path / "out"
+        code = run_cli("run", "--chain", f"2,V=1,eps=1,gamma={rate},start=0",
+                       "--engines", "lindblad", "--grid", "0:1:3", "--out", str(out))
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_non_finite_gamma_in_model_file(self, tmp_path, capsys):
+        doc = dict(MIXED_DIMER, gamma=float("inf"), initial_state={"site": 0})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))  # written as the JSON extension Infinity
+        out = tmp_path / "out"
+        code = run_cli("run", "--model", str(path), "--engines", "sse", "--grid", "0:1:3",
+                       "--ntraj", "4", "--out", str(out))
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0:3", "0:nan:3", "-1e308:1e308:3"])
+    def test_non_finite_grid_is_config_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "lindblad", f"--grid={grid}", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("eetsim: error: --grid:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine,extra", [
+        ("lindblad", ["--grid", "0:1e308:3"]),
+        ("sse", ["--grid", "0:1e308:3", "--ntraj", "4"]),
+        ("classical", ["--grid", "0:1:3", "--dt", "1e-320"]),
+    ])
+    def test_uncountable_substeps_is_numeric_failure(self, tmp_path, capsys, engine, extra):
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", engine, *extra, "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"eetsim: error: engine={engine} ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_out_untouched(self, tmp_path, capsys):
+        # lindblad succeeds, then classical blows up: no file of this run
+        # remains, and the lindblad.csv of an earlier run is kept as it was
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "lindblad.csv").write_text("earlier run\n")
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "lindblad,classical", "--grid", "0:1000:3", "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["lindblad.csv"]
+        assert (out / "lindblad.csv").read_text() == "earlier run\n"
+
+    def test_completed_run_replaces_earlier_files(self, tmp_path, capsys):
+        (tmp_path / "lindblad.csv").write_text("earlier run\n")
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "lindblad,classical", "--grid", "0:1:3", "--out", str(tmp_path))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["classical.csv", "lindblad.csv"]
+        assert read_timeseries(tmp_path / "lindblad.csv").n_samples == 3
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {tmp_path / name}" for name in ("lindblad.csv", "classical.csv")]
 
     def test_long_grid_small_system(self, tmp_path):
         # 10^9 RK4 substeps of 1e-3: a small system applies each sample
@@ -251,3 +325,51 @@ class TestRca:
     def test_gamma_override(self, capsys):
         # an absurd dephasing rate breaks the weak-noise condition
         assert run_cli("rca", "--model", str(fmo_model_path()), "--gamma", "20000") == 1
+
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"])
+_VALUE = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False).map(repr)
+_RATE = st.floats(min_value=0.0, max_value=5.0).map(repr)
+
+
+@st.composite
+def bad_run_arguments(draw):
+    """``eetsim run`` arguments whose chain or grid is invalid, so no engine may start."""
+    n_sites = draw(st.integers(min_value=2, max_value=6))
+    chain = {"V": draw(_VALUE), "eps": draw(_VALUE), "gamma": draw(_RATE),
+             "start": str(draw(st.integers(min_value=0, max_value=n_sites - 1)))}
+    t_start = draw(st.floats(min_value=-100.0, max_value=100.0))
+    t_end = t_start + draw(st.floats(min_value=1e-3, max_value=100.0))
+    t_start, t_end = repr(t_start), repr(t_end)
+    flaw = draw(st.sampled_from(["V", "eps", "gamma", "negative gamma", "t_start", "t_end",
+                                 "t_end <= t_start"]))
+    if flaw in ("V", "eps", "gamma"):
+        chain[flaw] = draw(_NON_FINITE)
+    elif flaw == "negative gamma":
+        chain["gamma"] = repr(-draw(st.floats(min_value=1e-9, max_value=1e9)))
+    elif flaw == "t_start":
+        t_start = draw(_NON_FINITE)
+    elif flaw == "t_end":
+        t_end = draw(_NON_FINITE)
+    else:
+        t_end = repr(float(t_start) - draw(st.floats(min_value=0.0, max_value=100.0)))
+    spec = ",".join([str(n_sites)] + [f"{key}={value}" for key, value in chain.items()])
+    engines = draw(st.sampled_from(["lindblad", "classical", "sse", "kubo", "lindblad,kubo"]))
+    n_samples = draw(st.integers(min_value=2, max_value=50))
+    return ["run", "--chain", spec, "--engines", engines,
+            f"--grid={t_start}:{t_end}:{n_samples}", "--ntraj", "4"]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(bad_run_arguments())
+def test_bad_chain_or_grid_is_one_line_config_error(argv):
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("eetsim: error: ")
+        assert stdout.getvalue() == ""
+        assert not out.exists()

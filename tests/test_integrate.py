@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+import eetsim.integrate
 from eetsim import build_aggregate, initial_rst_pure, load_model, fmo_model_path
 from eetsim.classical import _rst_rhs
-from eetsim.errors import StepTooLarge, ValidationError
+from eetsim.errors import EetsimError, StepTooLarge, ValidationError
 from eetsim.integrate import (
     TimeGrid,
     _rk4_map,
-    linearize_rhs,
+    _substeps,
     rate_scale,
     resolve_step,
     rk4_propagate,
-    substep_plan,
 )
 from eetsim.quantum import _lindblad_rhs, _pack_density
 
@@ -37,6 +37,13 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid(0.0, 1.0, 11, dt_integrate=0.0)
 
+    @pytest.mark.parametrize("t_start,t_end", [
+        (0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (np.nan, 1.0), (-1e308, 1e308),
+    ], ids=["end-inf", "start-minus-inf", "end-nan", "start-nan", "spacing-overflows"])
+    def test_non_finite_rejected(self, t_start, t_end):
+        with pytest.raises(ValidationError):
+            TimeGrid(t_start, t_end, 3)
+
 
 class TestStepRule:
     def test_rate_scale(self):
@@ -61,14 +68,17 @@ class TestStepRule:
 
     def test_substep_plan_covers_intervals(self):
         grid = TimeGrid(0.0, 1.0, 5)
-        plan = substep_plan(grid, 0.1)
-        assert len(plan) == 4
-        for n_sub, h in plan:
-            assert n_sub == 3 and np.isclose(h, 0.25 / 3)
+        n_sub, h = _substeps(grid.spacing, 0.1)
+        assert n_sub == 3 and np.isclose(h, 0.25 / 3)
+
+    @pytest.mark.parametrize("span,dt", [(5e307, 5e-3), (0.5, 1e-320)])
+    def test_uncountable_substeps_refused(self, span, dt):
+        with pytest.raises(EetsimError, match="too many substeps"):
+            _substeps(span, dt)
 
 
 class TestRk4:
-    def test_fourth_order_convergence(self):
+    def test_fourth_order_convergence(self, monkeypatch):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 4))
         a = a - 2.0 * np.eye(4)  # keep it stable
@@ -78,11 +88,12 @@ class TestRk4:
 
         exact = scipy.linalg.expm(a) @ y0
         # the callback loop and the dense per-interval map
-        for rhs in (lambda y: a @ y, a):
+        for max_dim in (0, 600):
+            monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", max_dim)
             errors = []
             for dt in (0.05, 0.025):
                 grid = TimeGrid(0.0, 1.0, 2, dt_integrate=dt)
-                out = rk4_propagate(rhs, y0, grid, dt)
+                out = rk4_propagate(lambda y: a @ y, y0, grid, dt)
                 errors.append(np.abs(out[-1] - exact).max())
             ratio = errors[0] / errors[1]
             assert 12.0 < ratio < 20.0
@@ -99,19 +110,27 @@ class TestRk4:
         assert np.all(out == [2.0, 3.0])
 
 
-class TestLinearize:
-    def test_matches_direct_rhs(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(12, 12))
-        direct = lambda y: a @ y
-        generator = linearize_rhs(direct, 12)
-        for _ in range(5):
-            y = rng.normal(size=12)
-            assert np.allclose(generator @ y, direct(y), atol=1e-13)
+class TestDenseOrCallback:
+    @pytest.mark.parametrize("dim", [12, 601])
+    def test_rhs_calls_pin_the_choice(self, dim):
+        # up to the threshold: one probe per basis vector, then matrix
+        # products only; above it: four calls per substep and no probes
+        a = -0.1 * np.eye(dim)
+        calls = []
 
-    def test_passthrough_beyond_threshold(self):
-        direct = lambda y: 2.0 * y
-        assert linearize_rhs(direct, 1000) is direct
+        def rhs(y):
+            calls.append(y.copy())
+            return a @ y
+
+        grid = TimeGrid(0.0, 1.0, 4)
+        rk4_propagate(rhs, np.ones(dim), grid, 0.1)
+        n_sub, _ = _substeps(grid.spacing, 0.1)
+        if dim <= eetsim.integrate._LINEARIZE_MAX_DIM:
+            assert len(calls) == dim
+            assert np.array_equal(np.array(calls), np.eye(dim))
+        else:
+            assert len(calls) == 4 * n_sub * (grid.n_samples - 1)
+            assert np.array_equal(calls[0], np.ones(dim))
 
 
 def rk4_step_matrix(a, h):
@@ -130,7 +149,7 @@ class TestRk4Map:
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("engine", ["lindblad", "classical"])
-    def test_fmo_matches_callback_loop(self, engine):
+    def test_fmo_matches_callback_loop(self, monkeypatch, engine):
         # realistic FMO energies, 20 intervals of 2380 substeps.  Rounding in
         # the dense powers grows with the rotation per interval: 1e-13 on
         # the classical D = 147 system, whose on-site terms turn 45 rad per
@@ -144,8 +163,8 @@ class TestRk4Map:
             y0 = initial_rst_pure(init.amplitudes).pack()
         grid = TimeGrid(0.0, 0.2, 21)
         dt = resolve_step(model, grid)
-        generator = linearize_rhs(rhs, y0.size)
-        assert generator.shape == (y0.size, y0.size)
-        mapped = rk4_propagate(generator, y0, grid, dt)
-        stepped = rk4_propagate(lambda y: generator @ y, y0, grid, dt)
+        assert y0.size <= eetsim.integrate._LINEARIZE_MAX_DIM
+        mapped = rk4_propagate(rhs, y0, grid, dt)
+        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        stepped = rk4_propagate(rhs, y0, grid, dt)
         assert np.abs(mapped - stepped).max() <= 2e-13 * np.abs(stepped).max()

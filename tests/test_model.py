@@ -87,6 +87,11 @@ class TestBuildAggregate:
         with pytest.raises(ValidationError):
             build_aggregate([1.0, np.inf], [[0, 1], [1, 0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_nonfinite_gamma_rejected(self, rate):
+        with pytest.raises(ValidationError, match="gamma"):
+            build_aggregate([1.0, 1.0], [[0, 1], [1, 0]], [0.1, rate])
+
     def test_readback_identity(self):
         eps, v, gam = nn_chain_arrays(5, 0.7, 3.0, 0.2)
         model = build_aggregate(eps, v, gam, units="dimensionless-in-V")

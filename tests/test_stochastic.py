@@ -15,12 +15,15 @@ from eetsim import (
     propagate_lindblad,
     run_kubo_ensemble,
     run_sse_ensemble,
-    sample_kubo_trajectory,
-    sample_sse_trajectory,
 )
 from eetsim.errors import GridMismatch, ValidationError, ZeroState
-from eetsim.integrate import resolve_step, substep_plan
+from eetsim.integrate import _substeps, resolve_step
 from eetsim.stochastic import _deterministic_rhs, _strang_paths
+
+
+def one_path(kind, model, z0, grid, stream):
+    """A single trajectory's (n_samples, N) amplitudes."""
+    return _strang_paths(kind, model, z0, grid, [stream])[0]
 
 
 def accumulate(paths, grid):
@@ -35,6 +38,11 @@ class TestNoiseSpec:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             NoiseSpec(gamma=[-0.1], seed=1)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValidationError):
+            NoiseSpec(gamma=[0.1, rate], seed=1)
 
 
 class TestDeriveStream:
@@ -75,14 +83,14 @@ class TestSseTrajectory:
     def test_noise_free_reduces_to_rabi(self):
         model, init = make_chain(2, 1.0, 0.0, 0.0, 0)
         grid = TimeGrid(0.0, 3.0, 31)
-        path = sample_sse_trajectory(model, init.amplitudes, grid, derive_stream(1, 0))
+        path = one_path("sse", model, init.amplitudes, grid, derive_stream(1, 0))
         pops = np.abs(path) ** 2
         assert np.abs(pops[:, 0] - np.cos(grid.times) ** 2).max() < 1e-8
 
     def test_norm_conserved(self):
         model, init = make_chain(3, 1.0, 4.0, 1.5, 1)
         grid = TimeGrid(0.0, 5.0, 26)
-        path = sample_sse_trajectory(model, init.amplitudes, grid, derive_stream(2, 7))
+        path = one_path("sse", model, init.amplitudes, grid, derive_stream(2, 7))
         norms = np.sum(np.abs(path) ** 2, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-8 * (grid.t_end - grid.t_start + 1.0)
 
@@ -102,29 +110,30 @@ class TestSseTrajectory:
 
     def test_zero_state_rejected(self):
         model, _ = make_chain(2, 1.0, 0.0, 0.0, 0)
+        noise = NoiseSpec(gamma=model.gamma, seed=0)
         with pytest.raises(ZeroState):
-            sample_sse_trajectory(model, [0.0, 0.0], TimeGrid(0.0, 1.0, 11), derive_stream(0, 0))
+            run_sse_ensemble(model, [0.0, 0.0], TimeGrid(0.0, 1.0, 11), noise, n_traj=2)
 
 
 class TestKuboTrajectory:
     def test_free_oscillator_phase(self):
         model = build_aggregate([3.0], np.zeros((1, 1)), [0.0])
         grid = TimeGrid(0.0, 4.0, 41)
-        path = sample_kubo_trajectory(model, [1.0 + 0.0j], grid, derive_stream(3, 0))
+        path = one_path("kubo", model, [1.0 + 0.0j], grid, derive_stream(3, 0))
         expected = np.exp(-3.0j * grid.times)
         assert np.abs(path[:, 0] - expected).max() < 1e-9
 
     def test_phase_noise_preserves_modulus(self):
         model = build_aggregate([2.0], np.zeros((1, 1)), [1.0])
         grid = TimeGrid(0.0, 5.0, 26)
-        path = sample_kubo_trajectory(model, [1.0 + 0.0j], grid, derive_stream(4, 9))
+        path = one_path("kubo", model, [1.0 + 0.0j], grid, derive_stream(4, 9))
         assert np.abs(np.abs(path[:, 0]) - 1.0).max() < 1e-9
 
     def test_coupling_breaks_norm(self):
         # the 2 Re(z) coupling makes sum |z|^2 non-conserved
         model, init = make_chain(2, 1.0, 1.0, 0.0, 0)
         grid = TimeGrid(0.0, 3.0, 31)
-        path = sample_kubo_trajectory(model, init.amplitudes, grid, derive_stream(6, 0))
+        path = one_path("kubo", model, init.amplitudes, grid, derive_stream(6, 0))
         norms = np.sum(np.abs(path) ** 2, axis=1)
         assert np.abs(norms - 1.0).max() > 1e-3
 
@@ -136,7 +145,7 @@ class TestStrangMap:
         # step the explicit four-call formula
         model, _ = make_chain(3, 1.0, 2.0, 0.8, 0)
         grid = TimeGrid(0.0, 0.004, 2)
-        (n_sub, h), = substep_plan(grid, resolve_step(model, grid))
+        n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
         assert n_sub == 1
         z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])
         got = _strang_paths(kind, model, z0, grid, [derive_stream(3, 0)])[0, 1]
@@ -209,7 +218,7 @@ class TestEnsembleDrivers:
         noise = NoiseSpec(gamma=model.gamma, seed=55)
         driver = run_sse_ensemble(model, init.amplitudes, grid, noise, n_traj=6)
         paths = [
-            sample_sse_trajectory(model, init.amplitudes, grid, derive_stream(55, k))
+            one_path("sse", model, init.amplitudes, grid, derive_stream(55, k))
             for k in range(6)
         ]
         manual = accumulate(paths, grid)
@@ -227,7 +236,7 @@ class TestEnsembleDrivers:
             stream = derive_stream(57, k)
             theta = stream.uniform(0.0, 2.0 * np.pi)
             z0 = init.amplitudes * np.exp(1j * theta)
-            paths.append(sample_kubo_trajectory(model, z0, grid, stream))
+            paths.append(one_path("kubo", model, z0, grid, stream))
         manual = accumulate(paths, grid)
         assert np.abs(driver.mean_bilinear - manual.mean_bilinear).max() < 1e-12
 
