@@ -25,7 +25,7 @@ from .errors import EetsimError, ValidationError
 from .integrate import TimeGrid
 from .model import convert_energy, build_aggregate, rca_check
 from .quantum import propagate_lindblad
-from .scenarios import load_model, make_chain
+from .scenarios import _read_document, load_model, make_chain
 from .stochastic import NoiseSpec, run_kubo_ensemble, run_sse_ensemble
 from .timeseries import (
     TimeSeries,
@@ -111,12 +111,7 @@ def _build_scenario(args):
         model, initial = make_chain(n_sites, p["v"], p["eps"], p["gamma"], p["start"])
         chain = {"v": p["v"], "start": p["start"], "n_sites": n_sites, "gamma": p["gamma"]}
     else:
-        path = Path(args.model)
-        with open(path) as fh:
-            doc = json.load(fh)
-        if args.shift:
-            doc["shift"] = float(doc.get("shift", 0.0)) + args.shift
-        model, initial = load_model(doc)
+        model, initial = load_model(_read_document(args.model, args.shift))
         chain = None
     if args.gamma is not None:
         if args.gamma < 0:
@@ -189,9 +184,7 @@ def cmd_run(args) -> int:
             raise _ConfigError("--format must be csv or json")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except _ConfigError as exc:
-        return _fail_config(str(exc))
-    except (json.JSONDecodeError, OSError, ValidationError, EetsimError) as exc:
+    except (_ConfigError, OSError, EetsimError) as exc:
         return _fail_config(str(exc))
 
     destinations = [out_dir / f"{engine}.{args.format}" for engine in engines]
@@ -206,7 +199,11 @@ def cmd_run(args) -> int:
             if destination.exists():
                 handle, name = tempfile.mkstemp(prefix=f".{destination.name}.", dir=out_dir)
                 os.close(handle)
-                earlier[destination] = destination.replace(name)
+                try:
+                    earlier[destination] = destination.replace(name)
+                except OSError:
+                    os.unlink(name)
+                    raise
         for engine, destination in zip(engines, destinations):
             try:
                 # A blown-up run is reported by the engine's checks, not by numpy warnings.
@@ -217,6 +214,8 @@ def cmd_run(args) -> int:
             written.append(destination)
             write_timeseries(series, args.format, destination)
         complete = True
+    except OSError as exc:
+        return _fail_config(str(exc))
     finally:
         if not complete:
             for destination in written:
@@ -250,9 +249,12 @@ def cmd_compare(args) -> int:
     doc = report.to_dict()
     if ignored:
         doc["ignored_channels"] = ignored
-    with open(args.report, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(args.report, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        return _fail_config(str(exc))
     print(f"overall max difference: {report.overall_max:.6e} (report: {args.report})")
     return 0
 
@@ -260,11 +262,9 @@ def cmd_compare(args) -> int:
 def cmd_rca(args) -> int:
     try:
         model, _, _ = _build_scenario(args)
-    except _ConfigError as exc:
+        report = rca_check(model, threshold=args.threshold)
+    except (_ConfigError, EetsimError) as exc:
         return _fail_config(str(exc))
-    except (json.JSONDecodeError, OSError, EetsimError) as exc:
-        return _fail_config(str(exc))
-    report = rca_check(model, threshold=args.threshold)
     print(report.summary())
     return 0 if report.verdict == "pass" else 1
 

@@ -85,7 +85,7 @@ def resolve_step(model: AggregateModel, grid: TimeGrid) -> float:
         dt = min(DEFAULT_STEP_FACTOR / scale, grid.spacing)
     else:
         dt = grid.spacing
-    if dt * scale > STEP_GUARD * (1.0 + 1e-9):
+    if not dt * scale <= STEP_GUARD * (1.0 + 1e-9):  # also an overflowing rate: 0 * inf
         raise StepTooLarge(
             f"dt_integrate {dt:.3e} times fastest rate {scale:.3e} exceeds {STEP_GUARD}"
         )

@@ -151,7 +151,7 @@ def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V")
     if diag > _COUPLING_SYMMETRY_TOL * scale:
         raise AsymmetricCoupling(f"coupling diagonal must be zero, max |V_nn| = {diag:.3e}")
 
-    v = 0.5 * (v + v.T)
+    v = 0.5 * v + 0.5 * v.T  # halves first: a coupling near the float limit must not overflow
     np.fill_diagonal(v, 0.0)
 
     for arr in (eps, v, gam):
@@ -272,8 +272,10 @@ def rca_check(model: AggregateModel, threshold: float = 0.1) -> RcaReport:
     Verdict is ``"pass"`` when every ratio is below ``threshold``, ``"fail"``
     when any ratio reaches 1 (or the frequencies are not all
     positive, in which case the ratios are reported as infinite), otherwise
-    ``"marginal"``.
+    ``"marginal"``.  ``threshold`` must lie in (0, 1].
     """
+    if not 0.0 < threshold <= _RCA_FAIL_RATIO:
+        raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
     eps = model.epsilon
     if np.any(eps <= 0.0):
         return RcaReport(

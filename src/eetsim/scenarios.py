@@ -95,15 +95,41 @@ def fmo_model_path() -> Path:
     return Path(resources.files("eetsim.data") / "fmo_7site.json")
 
 
+def _floats(value, key: str, scalar: bool = False) -> np.ndarray:
+    """A model-file number, or a regular nested list of numbers, as a float array.
+
+    Text, null, booleans, objects, ragged lists and integers beyond the float
+    range raise a ParseError naming ``key``; so does a list when ``scalar``.
+    """
+    try:
+        cells = np.array(value, dtype=object)
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cells.flat):
+            numbers = cells.astype(float)
+            if not (scalar and numbers.ndim):
+                return numbers
+    except (ValueError, OverflowError):
+        pass
+    expected = "a number" if scalar else "a number or a regular list of numbers"
+    raise ParseError(f"{key}: expected {expected}")
+
+
+def _index(value, key: str, n: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n:
+        raise ParseError(f"{key}: expected a site index in 0..{n - 1}, got {value!r}")
+    return value
+
+
 def _parse_amplitudes(raw, n: int, context: str) -> np.ndarray:
     if not isinstance(raw, (list, tuple)) or len(raw) != n:
         raise ParseError(f"{context}: amplitudes must be a list of {n} entries")
     c = np.zeros(n, dtype=complex)
     for k, entry in enumerate(raw):
-        if isinstance(entry, (int, float)):
-            c[k] = float(entry)
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            c[k] = float(entry[0]) + 1j * float(entry[1])
+        value = _floats(entry, f"{context}[{k}]")
+        if value.shape == ():
+            c[k] = value
+        elif value.shape == (2,):
+            re, im = value.tolist()
+            c[k] = re + 1j * im
         else:
             raise ParseError(f"{context}: amplitude {k} must be a number or an [re, im] pair")
     return c
@@ -113,15 +139,12 @@ def _parse_initial(doc_initial, n: int) -> InitialState:
     if not isinstance(doc_initial, dict):
         raise ParseError("initial_state: expected an object")
     if "site" in doc_initial:
-        site = doc_initial["site"]
-        if not isinstance(site, int) or not 0 <= site < n:
-            raise ParseError(f"initial_state.site: index {site!r} outside 0..{n - 1}")
-        return localized_state(n, site)
+        return localized_state(n, _index(doc_initial["site"], "initial_state.site", n))
     if "amplitudes" in doc_initial:
         c = _parse_amplitudes(doc_initial["amplitudes"], n, "initial_state.amplitudes")
         norm = float(np.vdot(c, c).real)
-        if norm <= 0.0:
-            raise ParseError("initial_state.amplitudes: zero norm")
+        if not 0.0 < norm < np.inf:
+            raise ParseError("initial_state.amplitudes: zero or non-finite norm")
         c = c / np.sqrt(norm)
         return InitialState(rho=pure_density(c), amplitudes=c)
     if "mixture" in doc_initial:
@@ -131,16 +154,15 @@ def _parse_initial(doc_initial, n: int) -> InitialState:
         weights = []
         rho = np.zeros((n, n), dtype=complex)
         for k, term in enumerate(terms):
-            try:
-                w = float(term["weight"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"initial_state.mixture[{k}].weight: {exc}") from exc
-            if w < 0.0:
-                raise ParseError(f"initial_state.mixture[{k}].weight: negative weight")
-            c = _parse_amplitudes(term.get("amplitudes"), n, f"initial_state.mixture[{k}].amplitudes")
+            context = f"initial_state.mixture[{k}]"
+            term = term if isinstance(term, dict) else {}
+            w = _floats(term.get("weight"), f"{context}.weight", scalar=True)
+            if not 0.0 <= w <= 1.0:
+                raise ParseError(f"{context}.weight: must lie in [0, 1]")
+            c = _parse_amplitudes(term.get("amplitudes"), n, f"{context}.amplitudes")
             norm = float(np.vdot(c, c).real)
-            if norm <= 0.0:
-                raise ParseError(f"initial_state.mixture[{k}]: zero-norm amplitudes")
+            if not 0.0 < norm < np.inf:
+                raise ParseError(f"{context}: zero or non-finite norm")
             c = c / np.sqrt(norm)
             rho += w * np.outer(c, c.conj())
             weights.append(w)
@@ -148,6 +170,22 @@ def _parse_initial(doc_initial, n: int) -> InitialState:
             raise ValidationError(f"mixture weights sum to {sum(weights)}, expected 1")
         return InitialState(rho=DensityMatrix(rho), amplitudes=None)
     raise ParseError("initial_state: expected one of 'site', 'amplitudes', 'mixture'")
+
+
+def _read_document(path, extra_shift: float = 0.0) -> dict:
+    """Parse a model file; a non-zero ``extra_shift`` is added to its ``shift``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if extra_shift:
+        doc["shift"] = _floats(doc.get("shift", 0.0), f"{path}: shift", scalar=True) + extra_shift
+    return doc
 
 
 def load_model(source) -> tuple[AggregateModel, InitialState]:
@@ -171,13 +209,7 @@ def load_model(source) -> tuple[AggregateModel, InitialState]:
         origin = "<dict>"
     else:
         origin = str(source)
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{origin}: line {exc.lineno}: {exc.msg}") from exc
-        except OSError as exc:
-            raise ParseError(f"{origin}: {exc}") from exc
+        doc = _read_document(source)
 
     try:
         sites = doc["sites"]
@@ -185,7 +217,7 @@ def load_model(source) -> tuple[AggregateModel, InitialState]:
         gamma_raw = doc["gamma"]
         units = doc["units"]
         initial_raw = doc["initial_state"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"{origin}: missing key {exc}") from exc
 
     if units not in ("V", "cm-1"):
@@ -193,32 +225,29 @@ def load_model(source) -> tuple[AggregateModel, InitialState]:
     if not isinstance(sites, list) or not sites:
         raise ParseError(f"{origin}: sites must be a non-empty list")
     n = len(sites)
-    try:
-        energies = np.array([float(s["energy"]) for s in sites])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{origin}: sites[*].energy: {exc}") from exc
+    energies = _floats([s.get("energy") if isinstance(s, dict) else None for s in sites],
+                       f"{origin}: sites[*].energy")
 
-    shift = float(doc.get("shift", 0.0))
+    shift = _floats(doc.get("shift", 0.0), f"{origin}: shift", scalar=True)
     energies = energies + shift
 
     if isinstance(couplings_raw, list) and couplings_raw and isinstance(couplings_raw[0], dict):
         coupling = np.zeros((n, n))
         for k, entry in enumerate(couplings_raw):
-            try:
-                i, j, value = int(entry["i"]), int(entry["j"]), float(entry["value"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{origin}: couplings[{k}]: {exc}") from exc
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ParseError(f"{origin}: couplings[{k}]: bad site pair ({i}, {j})")
-            coupling[i, j] = coupling[j, i] = value
+            key = f"{origin}: couplings[{k}]"
+            entry = entry if isinstance(entry, dict) else {}
+            i, j = _index(entry.get("i"), f"{key}.i", n), _index(entry.get("j"), f"{key}.j", n)
+            if i == j:
+                raise ParseError(f"{key}: bad site pair ({i}, {j})")
+            coupling[i, j] = coupling[j, i] = _floats(entry.get("value"), f"{key}.value", scalar=True)
     else:
-        coupling = np.asarray(couplings_raw, dtype=float)
+        coupling = _floats(couplings_raw, f"{origin}: couplings")
         if coupling.shape != (n, n):
             raise ParseError(f"{origin}: coupling matrix must be {n}x{n}")
 
-    gamma = np.asarray(gamma_raw, dtype=float)
+    gamma = _floats(gamma_raw, f"{origin}: gamma")
     if gamma.ndim == 0:
-        gamma = np.full(n, float(gamma))
+        gamma = np.full(n, gamma)
 
     if units == "cm-1":
         if np.any(energies <= 0.0):

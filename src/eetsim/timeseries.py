@@ -10,14 +10,13 @@ components.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .classical import ClassicalTrajectory
+from .classical import ClassicalTrajectory, normalize_sigma
 from .errors import ChannelMismatch, GridMismatch, ParseError, ValidationError
 from .quantum import QuantumTrajectory
 from .stochastic import TrajectoryEnsemble
@@ -93,12 +92,8 @@ def series_from_ensemble(
     mean = ens.mean_bilinear
     extra = None
     if normalize:
-        idx = np.arange(ens.dimension)
-        norms = mean[:, idx, idx].real.sum(axis=1)
-        if norms.min() < 1e-12:
-            raise ValidationError("ensemble trace collapsed; cannot normalize")
-        extra = {"norm_factor": norms.copy()}
-        mean = mean / norms[:, None, None]
+        mean, norms = normalize_sigma(mean)
+        extra = {"norm_factor": norms}
     return _density_channels(ens.grid.times, mean, engine, units, extra=extra)
 
 
@@ -107,15 +102,12 @@ def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:
 
     Floats are written with 17 significant digits, so a read-back is exact.
     """
-    path = Path(destination)
     names = list(series.channels)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + names)
-            columns = [series.channels[n] for n in names]
-            for i in range(series.n_samples):
-                writer.writerow([f"{series.times[i]:.17g}"] + [f"{col[i]:.17g}" for col in columns])
+        table = np.column_stack([series.times, *(series.channels[n] for n in names)])
+        with open(destination, "w", newline="") as fh:
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(["t", *names]),
+                       comments="", newline="\r\n")
     elif fmt == "json":
         doc = {
             "engine": series.engine,
@@ -123,7 +115,7 @@ def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:
             "t": series.times.tolist(),
             "channels": {n: series.channels[n].tolist() for n in names},
         }
-        with open(path, "w") as fh:
+        with open(destination, "w") as fh:
             json.dump(doc, fh)
             fh.write("\n")
     else:
@@ -140,19 +132,18 @@ def read_timeseries(source, fmt: str | None = None) -> TimeSeries:
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower() or "csv"
     if fmt == "csv":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or not rows[0] or rows[0][0] != "t":
-            raise ParseError(f"{path}: not a time-series CSV (missing 't' header)")
-        names = rows[0][1:]
         try:
-            body = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
+            with open(path) as fh:
+                header = fh.readline().rstrip("\n").split(",")
+                start = fh.tell()
+                rows = bool(fh.read(1))  # np.loadtxt warns on a header-only file
+                fh.seek(start)
+                body = np.loadtxt(fh, delimiter=",", ndmin=2) if rows else np.zeros((0, len(header)))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        if body.size == 0:
-            body = body.reshape(0, len(names) + 1)
-        channels = {name: body[:, k + 1] for k, name in enumerate(names)}
-        return TimeSeries(times=body[:, 0] if body.size else np.zeros(0), channels=channels)
+        if header[0] != "t" or body.shape[1] != len(header):
+            raise ParseError(f"{path}: not a time-series CSV ('t' header over every column)")
+        return TimeSeries(times=body[:, 0], channels=dict(zip(header[1:], body[:, 1:].T)))
     if fmt == "json":
         try:
             with open(path) as fh:

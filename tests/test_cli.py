@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eetsim.cli import main
@@ -26,6 +26,9 @@ MIXED_DIMER = {
         {"weight": 0.5, "amplitudes": [0.0, 1.0]},
     ]},
 }
+
+
+PURE_DIMER = dict(MIXED_DIMER, initial_state={"site": 0})
 
 
 def run_cli(*args):
@@ -257,6 +260,44 @@ class TestRun:
             written.append((tmp_path / name / "classical.csv").read_bytes())
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("text,shift", [
+        (json.dumps(dict(PURE_DIMER, gamma="abc")), None),
+        (json.dumps(dict(PURE_DIMER, shift="abc")), None),
+        (json.dumps(dict(PURE_DIMER, shift="abc")), "1"),
+        (json.dumps(dict(PURE_DIMER, couplings=[[0.0, 0.2], [0.2]])), None),
+        (json.dumps(dict(PURE_DIMER, initial_state={"amplitudes": [[1, "x"], 0]})), None),
+        (json.dumps([PURE_DIMER]), None),
+        (json.dumps([PURE_DIMER]), "1"),
+        (json.dumps(dict(PURE_DIMER, initial_state={"site": True})), None),
+    ], ids=["gamma-text", "shift-text", "shift-text-with-flag", "ragged-couplings",
+            "amplitude-pair-text", "array-document", "array-document-with-flag", "bool-site"])
+    def test_malformed_model_file_is_config_error(self, tmp_path, capsys, text, shift):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        extra = ["--shift", shift] if shift else []
+        code = run_cli("run", "--model", str(path), *extra, "--engines", "lindblad",
+                       "--grid", "0:0.01:3", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("eetsim: error: ")
+        assert not out.exists()
+
+    def test_unwritable_destination_leaves_out_untouched(self, tmp_path, capsys):
+        # classical.csv of an earlier run is set aside, then setting aside the
+        # directory lindblad.csv fails: the earlier file comes back, no temporary remains
+        out = tmp_path / "d"
+        (out / "lindblad.csv").mkdir(parents=True)
+        (out / "classical.csv").write_text("earlier run\n")
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "classical,lindblad", "--grid", "0:1:3", "--out", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["classical.csv", "lindblad.csv"]
+        assert (out / "classical.csv").read_text() == "earlier run\n"
+        assert not any((out / "lindblad.csv").iterdir())
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EETSIM_OUTDIR", str(tmp_path / "envdir"))
         code = run_cli("run", "--chain", "2,V=1,eps=0,gamma=0,start=0",
@@ -299,6 +340,14 @@ class TestCompare:
         run_cli("compare", str(a), str(b), "--report", str(r2))
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_report_in_missing_directory(self, tmp_path, capsys):
+        a, b = self.make_pair(tmp_path)
+        capsys.readouterr()
+        assert run_cli("compare", str(a), str(b), "--report", str(tmp_path / "missing/x.json")) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
     def test_grid_mismatch(self, tmp_path):
         a, _ = self.make_pair(tmp_path)
         run_cli("run", "--chain", "2,V=1,eps=0,gamma=0.5,start=0",
@@ -325,6 +374,14 @@ class TestRca:
     def test_gamma_override(self, capsys):
         # an absurd dephasing rate breaks the weak-noise condition
         assert run_cli("rca", "--model", str(fmo_model_path()), "--gamma", "20000") == 1
+
+    @pytest.mark.parametrize("threshold", ["2", "nan", "inf", "0", "-0.1"])
+    def test_threshold_outside_unit_interval(self, capsys, threshold):
+        # the dephasing ratio is 1.5, a fail whatever the threshold
+        code = run_cli("rca", "--chain", "29,V=1,eps=1,gamma=1.5", f"--threshold={threshold}")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 _NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"])
@@ -373,3 +430,70 @@ def test_bad_chain_or_grid_is_one_line_config_error(argv):
         assert len(lines) == 1 and lines[0].startswith("eetsim: error: ")
         assert stdout.getvalue() == ""
         assert not out.exists()
+
+
+_VALID_MODEL = {
+    "units": "V",
+    "sites": [{"label": f"s{k}", "energy": 5.0 + k} for k in range(3)],
+    "couplings": [{"i": 0, "j": 1, "value": 0.5}, {"i": 1, "j": 2, "value": -0.3}],
+    "gamma": [0.1, 0.2, 0.3],
+    "shift": 0.5,
+}
+# Each initial state with the paths of its fields that a corruption may replace.
+_INITIAL_STATES = [
+    ({"site": 1}, [("initial_state", "site")]),
+    ({"amplitudes": [0.6, [0.0, 0.8], 0.0]},
+     [("initial_state", "amplitudes", 1), ("initial_state", "amplitudes", 1, 0),
+      ("initial_state", "amplitudes", 0)]),
+    ({"mixture": [{"weight": 0.25, "amplitudes": [1.0, 0.0, 0.0]},
+                  {"weight": 0.75, "amplitudes": [[0.0, 1.0], 0.0, 1.0]}]},
+     [("initial_state", "mixture", 0, "weight"), ("initial_state", "mixture", 1, "amplitudes", 0)]),
+]
+# () is the whole document.
+_COMMON_FIELDS = [(), ("units",), ("sites",), ("sites", 0), ("sites", 2, "energy"), ("couplings",),
+                  ("couplings", 1), ("couplings", 0, "value"), ("couplings", 1, "i"),
+                  ("couplings", 0, "j"), ("gamma",), ("gamma", 1), ("shift",), ("initial_state",)]
+_CORRUPTIONS = st.sampled_from([
+    "abc", "1.5", "", None, True, False, [[1.0]], [1.0, [2.0]], {"x": 1},
+    float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10**400,
+])
+
+
+@st.composite
+def corrupted_model(draw):
+    """A valid model document with one field replaced by a value of the wrong kind or range."""
+    initial, fields = draw(st.sampled_from(_INITIAL_STATES))
+    doc = json.loads(json.dumps(dict(_VALID_MODEL, initial_state=initial)))
+    path = draw(st.sampled_from(_COMMON_FIELDS + fields))
+    value, shift = draw(_CORRUPTIONS), draw(st.booleans())
+    if not path:
+        return value, shift
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return doc, shift
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(corrupted_model())
+@example((dict(_VALID_MODEL, couplings=[{"i": 0, "j": 1, "value": 1e308}], initial_state={"site": 0}),
+          False))  # the rate 2V overflows
+def test_corrupted_model_file_fails_in_one_line(case):
+    doc, shift = case
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work) / "model.json", Path(work) / "out"
+        path.write_text(json.dumps(doc))  # NaN and infinities as JSON's Infinity extension
+        argv = ["run", "--model", str(path), "--engines", "lindblad,classical",
+                "--grid", "0:0.01:3", "--out", str(out)] + (["--shift", "1"] if shift else [])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("eetsim: error: ")
+        if code == 2:
+            assert stdout.getvalue() == "" and not out.exists()

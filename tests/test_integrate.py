@@ -66,6 +66,12 @@ class TestStepRule:
         with pytest.raises(StepTooLarge):
             resolve_step(model, grid)
 
+    def test_overflowing_rate_refused(self):
+        # 2V overflows to inf, so the default step would be 0
+        model = build_aggregate([1.0, 1.0], [[0.0, 1e308], [1e308, 0.0]], [0.0, 0.0])
+        with pytest.raises(StepTooLarge):
+            resolve_step(model, TimeGrid(0.0, 1.0, 3))
+
     def test_substep_plan_covers_intervals(self):
         grid = TimeGrid(0.0, 1.0, 5)
         n_sub, h = _substeps(grid.spacing, 0.1)

@@ -69,6 +69,10 @@ class TestBuildAggregate:
         model = build_aggregate([1.0, 1.0], v, [0.0, 0.0])
         assert model.coupling[0, 1] == model.coupling[1, 0]
 
+    def test_coupling_near_float_limit_stays_finite(self):
+        model = build_aggregate([1.0, 1.0], [[0.0, 1e308], [1e308, 0.0]], [0.0, 0.0])
+        assert model.coupling[0, 1] == model.coupling[1, 0] == 1e308
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(AsymmetricCoupling):
             build_aggregate([1.0, 1.0], [[0.5, 1.0], [1.0, 0.0]], [0.0, 0.0])

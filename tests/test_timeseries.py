@@ -4,6 +4,7 @@ import pytest
 from eetsim import (
     TimeGrid,
     TimeSeries,
+    TrajectoryEnsemble,
     compare_series,
     initial_rst_pure,
     make_chain,
@@ -11,10 +12,11 @@ from eetsim import (
     propagate_lindblad,
     read_timeseries,
     series_from_classical,
+    series_from_ensemble,
     series_from_quantum,
     write_timeseries,
 )
-from eetsim.errors import ChannelMismatch, GridMismatch, ValidationError
+from eetsim.errors import ChannelMismatch, GridMismatch, NormCollapse, ParseError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,22 @@ class TestFileRoundTrip:
         assert back.engine == "lindblad"
         assert back.units == "hbar/V"
 
+    def test_csv_bytes(self, tmp_path):
+        series = TimeSeries(
+            times=np.array([0.0, 0.1, 2.5]),
+            channels={"population:0": np.array([1.0, 1.0 / 3.0, 2e-300]),
+                      "coherence_re:0:1": np.array([-0.0, -1.0 / 7.0, 5e-324])},
+        )
+        path = tmp_path / "series.csv"
+        write_timeseries(series, "csv", path)
+        assert path.read_bytes() == (
+            b"t,population:0,coherence_re:0:1\r\n"
+            b"0,1,-0\r\n"
+            b"0.10000000000000001,0.33333333333333331,-0.14285714285714285\r\n"
+            b"2.5,2.0000000000000001e-300,4.9406564584124654e-324\r\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
     def test_empty_channels_header_only_csv(self, tmp_path):
         empty = TimeSeries(times=np.zeros(0), channels={})
         path = tmp_path / "empty.csv"
@@ -87,9 +105,30 @@ class TestFileRoundTrip:
     def test_csv_without_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
-        from eetsim.errors import ParseError
         with pytest.raises(ParseError):
             read_timeseries(path)
+
+    @pytest.mark.parametrize("content", [
+        b"",
+        b"t,a\r\n1,x\r\n",  # not a number
+        b"t,a\r\n1,2\r\n3\r\n",  # ragged rows
+        b"t,a,b\r\n1,2\r\n",  # fewer columns than the header
+        b"t,a\r\n1,2,3\r\n",  # more columns than the header
+        b"t,a\r\n1,\xff\r\n",  # not UTF-8
+    ])
+    def test_malformed_csv_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            read_timeseries(path)
+
+
+def test_ensemble_trace_collapse_is_norm_collapse():
+    grid = TimeGrid(0.0, 1.0, 3)
+    ens = TrajectoryEnsemble(grid, 2)
+    ens.add_path(np.zeros((3, 2)))
+    with pytest.raises(NormCollapse):
+        series_from_ensemble(ens, "kubo-ensemble", normalize=True)
 
 
 class TestCompareSeries:
