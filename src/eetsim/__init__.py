@@ -6,91 +6,38 @@ closed classical oscillator moment system, and stochastic trajectory
 ensembles (quantum wavefunctions and classical Kubo oscillators).  Scenario
 builders, file IO, a difference report, and a weak-coupling diagnostic make
 the quantum/classical comparison reproducible from the command line.
+
+The package namespace holds what a comparison script needs; series IO and
+the difference report live in :mod:`eetsim.timeseries`, the exception types
+in :mod:`eetsim.errors`, and the remaining helpers in their own modules.
 """
 
-from .bessel import bessel_j, chain_bessel_populations
-from .classical import (
-    ClassicalTrajectory,
-    RstState,
-    assemble_sigma,
-    initial_rst_mixed,
-    initial_rst_pure,
-    normalize_sigma,
-    propagate_classical_rst,
-)
-from .integrate import TimeGrid, rate_scale, resolve_step
-from .model import (
-    AggregateModel,
-    DensityMatrix,
-    RcaReport,
-    build_aggregate,
-    convert_energy,
-    pure_density,
-    rca_check,
-)
-from .quantum import QuantumTrajectory, propagate_lindblad, propagate_quantum_rst
-from .scenarios import InitialState, fmo_model_path, load_model, localized_state, make_chain
-from .stochastic import (
-    NoiseSpec,
-    TrajectoryEnsemble,
-    derive_stream,
-    run_kubo_ensemble,
-    run_sse_ensemble,
-)
-from .timeseries import (
-    DiffReport,
-    TimeSeries,
-    compare_series,
-    read_timeseries,
-    series_from_classical,
-    series_from_ensemble,
-    series_from_quantum,
-    write_timeseries,
-)
-from . import errors
+from .bessel import chain_bessel_populations
+from .classical import assemble_sigma, initial_rst_mixed, initial_rst_pure, propagate_classical_rst
+from .integrate import TimeGrid
+from .model import DensityMatrix, build_aggregate, pure_density
+from .quantum import propagate_lindblad, propagate_quantum_rst
+from .scenarios import fmo_model_path, load_model, make_chain
+from .stochastic import NoiseSpec, run_kubo_ensemble, run_sse_ensemble
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateModel",
-    "ClassicalTrajectory",
     "DensityMatrix",
-    "DiffReport",
-    "InitialState",
     "NoiseSpec",
-    "QuantumTrajectory",
-    "RcaReport",
-    "RstState",
     "TimeGrid",
-    "TimeSeries",
-    "TrajectoryEnsemble",
     "assemble_sigma",
-    "bessel_j",
     "build_aggregate",
     "chain_bessel_populations",
-    "compare_series",
-    "convert_energy",
-    "derive_stream",
-    "errors",
     "fmo_model_path",
     "initial_rst_mixed",
     "initial_rst_pure",
     "load_model",
-    "localized_state",
     "make_chain",
-    "normalize_sigma",
     "propagate_classical_rst",
     "propagate_lindblad",
     "propagate_quantum_rst",
     "pure_density",
-    "rate_scale",
-    "rca_check",
-    "read_timeseries",
-    "resolve_step",
     "run_kubo_ensemble",
     "run_sse_ensemble",
-    "series_from_classical",
-    "series_from_ensemble",
-    "series_from_quantum",
-    "write_timeseries",
 ]

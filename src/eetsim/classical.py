@@ -37,19 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInitialState,
-    NormCollapse,
-    NotPositive,
-    ValidationError,
-    ZeroState,
-)
+from .errors import DimensionMismatch, NormCollapse, NotPositive, ValidationError, ZeroState
 from .integrate import TimeGrid, resolve_step, rk4_propagate
-from .model import AggregateModel, DensityMatrix, _check_stack
+from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack
 
 _SYMMETRY_TOL = 1e-12
-_TRAJECTORY_PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -241,10 +233,7 @@ def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGri
     ------
     StepTooLarge, InvalidInitialState, NormCollapse
     """
-    if rst0.dimension != model.n_sites:
-        raise InvalidInitialState(
-            f"initial state dimension {rst0.dimension} does not match model {model.n_sites}"
-        )
+    _check_dimension(model, rst0.dimension)
     dt = resolve_step(model, grid)
     y0 = rst0.pack()
     raw = rk4_propagate(_rst_rhs(model, quantum=False), y0, grid, dt)

@@ -23,9 +23,10 @@ from .bessel import chain_bessel_populations
 from .classical import initial_rst_mixed, initial_rst_pure, propagate_classical_rst
 from .errors import EetsimError, ValidationError
 from .integrate import TimeGrid
-from .model import convert_energy, build_aggregate, rca_check
+from .model import rca_check
 from .quantum import propagate_lindblad
-from .scenarios import _read_document, load_model, make_chain
+from .scenarios import _model_from_document, _read_document, make_chain
+from .scenarios import load_model  # noqa: F401  (not called; perfbench/spans.py looks it up here)
 from .stochastic import NoiseSpec, run_kubo_ensemble, run_sse_ensemble
 from .timeseries import (
     TimeSeries,
@@ -104,28 +105,24 @@ def _build_scenario(args):
     """Returns (model, initial, chain_params or None)."""
     if bool(args.chain) == bool(args.model):
         raise _ConfigError("exactly one of --chain or --model is required")
+    if args.gamma is not None and args.gamma < 0:
+        raise _ConfigError("--gamma must be non-negative")
     if args.chain:
         if args.shift:
             raise _ConfigError("--shift applies to model files only")
         n_sites, p = _parse_chain(args.chain)
+        if args.gamma is not None:
+            p["gamma"] = args.gamma
         model, initial = make_chain(n_sites, p["v"], p["eps"], p["gamma"], p["start"])
-        chain = {"v": p["v"], "start": p["start"], "n_sites": n_sites, "gamma": p["gamma"]}
-    else:
-        model, initial = load_model(_read_document(args.model, args.shift))
-        chain = None
+        return model, initial, {"v": p["v"], "start": p["start"], "n_sites": n_sites}
+    doc = _read_document(args.model, args.shift)
     if args.gamma is not None:
-        if args.gamma < 0:
-            raise _ConfigError("--gamma must be non-negative")
-        value = convert_energy(args.gamma) if model.units == "wavenumber" else args.gamma
-        model = build_aggregate(
-            model.epsilon, model.coupling, np.full(model.n_sites, value), units=model.units
-        )
-        if chain is not None:
-            chain["gamma"] = args.gamma
-    return model, initial, chain
+        doc["gamma"] = args.gamma  # file units, converted with the rest of the file
+    model, initial = _model_from_document(doc, args.model)
+    return model, initial, None
 
 
-def _check_engines(engines, model, initial, chain, n_traj) -> None:
+def _check_engines(engines, model, initial, chain, args) -> None:
     """Refuse a configuration that any requested engine cannot run, before any engine starts."""
     for engine in engines:
         if engine not in ENGINES:
@@ -133,24 +130,14 @@ def _check_engines(engines, model, initial, chain, n_traj) -> None:
     for engine in engines:
         if engine == "bessel" and chain is None:
             raise _ConfigError("engine 'bessel' requires a --chain scenario")
-        if engine == "bessel" and (chain["gamma"] != 0.0 or float(model.gamma.max()) != 0.0):
+        if engine == "bessel" and float(model.gamma.max()) != 0.0:
             raise _ConfigError("engine 'bessel' requires gamma=0")
         if engine in ("sse", "kubo") and not initial.is_pure:
             raise _ConfigError(f"engine {engine!r} needs a pure initial state")
-        if engine in ("sse", "kubo") and n_traj < 1:
-            raise _ConfigError(f"--ntraj must be at least 1, got {n_traj}")
-
-
-def _bessel_series(model, chain, grid) -> TimeSeries:
-    times = grid.times
-    channels = {}
-    for site in range(chain["n_sites"]):
-        offset = site - chain["start"]
-        channels[f"population:{site}"] = np.array(
-            [chain_bessel_populations(chain["v"], offset, t) for t in times]
-        )
-    units = "ps" if model.units == "wavenumber" else "hbar/V"
-    return TimeSeries(times=times.copy(), channels=channels, engine="bessel", units=units)
+        if engine in ("sse", "kubo") and args.ntraj < 1:
+            raise _ConfigError(f"--ntraj must be at least 1, got {args.ntraj}")
+        if engine in ("sse", "kubo") and args.seed < 0:
+            raise _ConfigError(f"--seed must be non-negative, got {args.seed}")
 
 
 def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
@@ -169,7 +156,13 @@ def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
             return series_from_ensemble(ens, "sse-ensemble", units=units)
         ens = run_kubo_ensemble(model, initial.amplitudes, grid, noise, n_traj=args.ntraj)
         return series_from_ensemble(ens, "kubo-ensemble", units=units, normalize=True)
-    return _bessel_series(model, chain, grid)
+    channels = {
+        f"population:{site}": np.array(
+            [chain_bessel_populations(chain["v"], site - chain["start"], t) for t in grid.times]
+        )
+        for site in range(chain["n_sites"])
+    }
+    return TimeSeries(times=grid.times.copy(), channels=channels, engine="bessel", units=units)
 
 
 def cmd_run(args) -> int:
@@ -179,7 +172,7 @@ def cmd_run(args) -> int:
         engines = [e.strip() for e in args.engines.split(",") if e.strip()]
         if not engines:
             raise _ConfigError("--engines: need at least one engine")
-        _check_engines(engines, model, initial, chain, args.ntraj)
+        _check_engines(engines, model, initial, chain, args)
         if args.format not in ("csv", "json"):
             raise _ConfigError("--format must be csv or json")
         out_dir = Path(args.out)

@@ -15,13 +15,13 @@ unit.  Two unit systems are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     AsymmetricCoupling,
     DimensionMismatch,
+    InvalidInitialState,
     NegativeRate,
     NotPositive,
     ValidationError,
@@ -35,6 +35,8 @@ UNIT_SYSTEMS = ("dimensionless-in-V", "wavenumber")
 
 _COUPLING_SYMMETRY_TOL = 1e-12
 _HERMITICITY_TOL = 1e-12
+#: Positivity tolerance of every engine's sampled density matrices.
+_TRAJECTORY_PSD_TOL = 1e-8
 #: Any RCA ratio at or above this makes the verdict "fail".
 _RCA_FAIL_RATIO = 1.0
 
@@ -75,25 +77,6 @@ class AggregateModel:
     @property
     def n_sites(self) -> int:
         return self.epsilon.shape[0]
-
-    @cached_property
-    def energy_gaps(self) -> np.ndarray:
-        """Matrix of pairwise differences epsilon_n - epsilon_m."""
-        gaps = self.epsilon[:, None] - self.epsilon[None, :]
-        gaps.setflags(write=False)
-        return gaps
-
-    @cached_property
-    def dephasing_factor(self) -> np.ndarray:
-        """Elementwise dephasing multiplier with an exactly zero diagonal.
-
-        Off-diagonal entries are -(gamma_n + gamma_m)/2; the diagonal is set
-        to exactly 0 so populations are never touched by rounding.
-        """
-        fac = -0.5 * (self.gamma[:, None] + self.gamma[None, :])
-        np.fill_diagonal(fac, 0.0)
-        fac.setflags(write=False)
-        return fac
 
     def with_shifted_energies(self, delta: float) -> "AggregateModel":
         """Return a copy with every site energy shifted by ``delta``."""
@@ -143,15 +126,17 @@ def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V")
     if units not in UNIT_SYSTEMS:
         raise ValidationError(f"unknown unit system {units!r}; expected one of {UNIT_SYSTEMS}")
 
+    # Halves first: a coupling near the float limit must not overflow.
+    half = 0.5 * v
     scale = max(1.0, float(np.abs(v).max()) if v.size else 1.0)
-    asym = float(np.abs(v - v.T).max()) if v.size else 0.0
+    asym = 2.0 * float(np.abs(half - half.T).max()) if v.size else 0.0
     if asym > _COUPLING_SYMMETRY_TOL * scale:
         raise AsymmetricCoupling(f"coupling asymmetry {asym:.3e} exceeds tolerance")
     diag = float(np.abs(np.diag(v)).max()) if v.size else 0.0
     if diag > _COUPLING_SYMMETRY_TOL * scale:
         raise AsymmetricCoupling(f"coupling diagonal must be zero, max |V_nn| = {diag:.3e}")
 
-    v = 0.5 * v + 0.5 * v.T  # halves first: a coupling near the float limit must not overflow
+    v = half + half.T
     np.fill_diagonal(v, 0.0)
 
     for arr in (eps, v, gam):
@@ -191,6 +176,13 @@ def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
     return a
 
 
+def _check_dimension(model: AggregateModel, dimension: int) -> None:
+    if dimension != model.n_sites:
+        raise InvalidInitialState(
+            f"initial state dimension {dimension} does not match model {model.n_sites}"
+        )
+
+
 class DensityMatrix:
     """N x N complex Hermitian matrix with trace and positivity checks.
 
@@ -213,13 +205,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.data).real)
-
-    def populations(self) -> np.ndarray:
-        """Diagonal of the matrix as a real vector."""
-        return np.diag(self.data).real.copy()
-
-    def coherence(self, n: int, m: int) -> complex:
-        return complex(self.data[n, m])
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.data).min())

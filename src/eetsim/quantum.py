@@ -18,10 +18,9 @@ import numpy as np
 from .classical import RstState, _moment_stack, _rst_rhs, assemble_sigma
 from .errors import EetsimError, InvalidInitialState
 from .integrate import TimeGrid, resolve_step, rk4_propagate
-from .model import AggregateModel, DensityMatrix, _check_stack
+from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack
 
 _TRACE_TOL = 1e-8
-_TRAJECTORY_PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,12 @@ class QuantumTrajectory:
 
 def _lindblad_rhs(model: AggregateModel):
     n = model.n_sites
-    # Elementwise multiplier: coherent phase from energy gaps plus dephasing.
-    factor = -1j * model.energy_gaps + model.dephasing_factor
+    # Elementwise multiplier: coherent phase from the energy gaps eps_n - eps_m
+    # plus dephasing -(gamma_n + gamma_m) / 2, exactly zero on the diagonal so
+    # populations are never touched by rounding.
+    dephasing = -0.5 * (model.gamma[:, None] + model.gamma[None, :])
+    np.fill_diagonal(dephasing, 0.0)
+    factor = -1j * (model.epsilon[:, None] - model.epsilon[None, :]) + dephasing
     v = model.coupling.astype(complex)
 
     # The flat real state interleaves re/im (a complex matrix viewed as
@@ -62,15 +65,6 @@ def _lindblad_rhs(model: AggregateModel):
 
 def _pack_density(rho: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rho, dtype=complex).view(float).ravel().copy()
-
-
-def _check_initial(model: AggregateModel, rho0: DensityMatrix) -> None:
-    if rho0.dimension != model.n_sites:
-        raise InvalidInitialState(
-            f"initial state dimension {rho0.dimension} does not match model {model.n_sites}"
-        )
-    if abs(rho0.trace - 1.0) > _TRACE_TOL:
-        raise InvalidInitialState(f"initial trace {rho0.trace} is not 1")
 
 
 def _check_unit_trace(rho: np.ndarray) -> None:
@@ -100,7 +94,9 @@ def propagate_lindblad(model: AggregateModel, rho0: DensityMatrix, grid: TimeGri
         When the integration step cannot resolve the fastest model rate.
     InvalidInitialState
     """
-    _check_initial(model, rho0)
+    _check_dimension(model, rho0.dimension)
+    if abs(rho0.trace - 1.0) > _TRACE_TOL:
+        raise InvalidInitialState(f"initial trace {rho0.trace} is not 1")
     n = model.n_sites
     dt = resolve_step(model, grid)
     y0 = _pack_density(rho0.data)
@@ -119,10 +115,7 @@ def propagate_quantum_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid)
     structurally different ways.  Like the classical engine it checks that
     R and S stay symmetric in every sample (ValidationError otherwise).
     """
-    if rst0.dimension != model.n_sites:
-        raise InvalidInitialState(
-            f"initial state dimension {rst0.dimension} does not match model {model.n_sites}"
-        )
+    _check_dimension(model, rst0.dimension)
     dt = resolve_step(model, grid)
     y0 = rst0.pack()
     raw = rk4_propagate(_rst_rhs(model, quantum=True), y0, grid, dt)

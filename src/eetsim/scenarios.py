@@ -120,6 +120,7 @@ def _index(value, key: str, n: int) -> int:
 
 
 def _parse_amplitudes(raw, n: int, context: str) -> np.ndarray:
+    """A list of n numbers or [re, im] pairs as a unit-norm complex vector."""
     if not isinstance(raw, (list, tuple)) or len(raw) != n:
         raise ParseError(f"{context}: amplitudes must be a list of {n} entries")
     c = np.zeros(n, dtype=complex)
@@ -132,7 +133,10 @@ def _parse_amplitudes(raw, n: int, context: str) -> np.ndarray:
             c[k] = re + 1j * im
         else:
             raise ParseError(f"{context}: amplitude {k} must be a number or an [re, im] pair")
-    return c
+    norm = float(np.vdot(c, c).real)
+    if not 0.0 < norm < np.inf:
+        raise ParseError(f"{context}: zero or non-finite norm")
+    return c / np.sqrt(norm)
 
 
 def _parse_initial(doc_initial, n: int) -> InitialState:
@@ -142,10 +146,6 @@ def _parse_initial(doc_initial, n: int) -> InitialState:
         return localized_state(n, _index(doc_initial["site"], "initial_state.site", n))
     if "amplitudes" in doc_initial:
         c = _parse_amplitudes(doc_initial["amplitudes"], n, "initial_state.amplitudes")
-        norm = float(np.vdot(c, c).real)
-        if not 0.0 < norm < np.inf:
-            raise ParseError("initial_state.amplitudes: zero or non-finite norm")
-        c = c / np.sqrt(norm)
         return InitialState(rho=pure_density(c), amplitudes=c)
     if "mixture" in doc_initial:
         terms = doc_initial["mixture"]
@@ -160,10 +160,6 @@ def _parse_initial(doc_initial, n: int) -> InitialState:
             if not 0.0 <= w <= 1.0:
                 raise ParseError(f"{context}.weight: must lie in [0, 1]")
             c = _parse_amplitudes(term.get("amplitudes"), n, f"{context}.amplitudes")
-            norm = float(np.vdot(c, c).real)
-            if not 0.0 < norm < np.inf:
-                raise ParseError(f"{context}: zero or non-finite norm")
-            c = c / np.sqrt(norm)
             rho += w * np.outer(c, c.conj())
             weights.append(w)
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -205,12 +201,12 @@ def load_model(source) -> tuple[AggregateModel, InitialState]:
         Non-positive site energy in the wavenumber unit system.
     """
     if isinstance(source, dict):
-        doc = source
-        origin = "<dict>"
-    else:
-        origin = str(source)
-        doc = _read_document(source)
+        return _model_from_document(source, "<dict>")
+    return _model_from_document(_read_document(source), source)
 
+
+def _model_from_document(doc: dict, origin) -> tuple[AggregateModel, InitialState]:
+    """The model and initial state of a parsed document; errors name ``origin``."""
     try:
         sites = doc["sites"]
         couplings_raw = doc["couplings"]

@@ -26,6 +26,8 @@ path from z0 exp(i theta_k) with stream_k continued.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,7 @@ class NoiseSpec:
     """Noise model for the stochastic engines.
 
     Delta-correlated real Gaussian frequency noise with per-site rates
-    ``gamma``; trajectory streams derive from ``seed``.
+    ``gamma``; trajectory streams derive from the non-negative ``seed``.
     """
 
     gamma: np.ndarray
@@ -56,6 +58,8 @@ class NoiseSpec:
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float)).copy()
         if not (np.all(np.isfinite(gamma)) and np.all(gamma >= 0.0)):
             raise ValidationError("noise rates must be finite and non-negative")
+        if int(self.seed) < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "seed", int(self.seed))
@@ -70,6 +74,18 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
     """
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(trajectory_index),))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """A zero-filled array in its own anonymous mapping, unmapped when released.
+
+    The noise block and the paths are an ensemble run's only large buffers.
+    Kept out of the C heap, they leave no holes there for later small
+    allocations to pin, so peak memory does not depend on heap layout.
+    """
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 def _deterministic_rhs(model: AggregateModel, kind: str):
@@ -98,7 +114,7 @@ def _strang_paths(
     # the last block stopping at the path end).  Each trajectory's draws
     # continue its own stream, so the kicks equal those of one whole-path draw.
     block = max(1, _SEGMENT_BYTES // (8 * n * batch))
-    phases = np.empty((batch, min(block, n_steps), n))
+    phases = _mapped((batch, min(block, n_steps), n), float)
     # Kick widths sqrt(gamma_n h) as a full (block, N) table: scaling by an
     # (N,) row would make numpy's inner loop N long, about 6x slower.
     widths = np.tile(np.sqrt(h * model.gamma), (phases.shape[1], 1))
@@ -112,7 +128,7 @@ def _strang_paths(
     half_step = _rk4_map(generator, 1, 0.5 * h)
 
     z = np.broadcast_to(np.asarray(z0, dtype=complex), (batch, n)).copy()
-    out = np.empty((batch, grid.n_samples, n), dtype=complex)
+    out = _mapped((batch, grid.n_samples, n), complex)
     out[:, 0, :] = z
     step = 0
     for i in range(1, grid.n_samples):
@@ -175,12 +191,6 @@ class TrajectoryEnsemble:
         mean = self._sum / self.n_traj
         var = (self._sq - self.n_traj * (mean.real**2 + mean.imag**2)) / (self.n_traj - 1)
         return np.sqrt(np.maximum(var, 0.0) / self.n_traj)
-
-    def populations(self) -> np.ndarray:
-        """Diagonal of the mean bilinear, (n_samples, N) real."""
-        mean = self.mean_bilinear
-        idx = np.arange(self.dimension)
-        return mean[:, idx, idx].real
 
 
 def _run_ensemble(kind, model, z0, grid, noise: NoiseSpec, n_traj: int) -> TrajectoryEnsemble:

@@ -69,9 +69,9 @@ def _density_channels(times, data, engine, units, extra=None) -> TimeSeries:
     return TimeSeries(times=np.asarray(times, float).copy(), channels=channels, engine=engine, units=units)
 
 
-def series_from_quantum(traj: QuantumTrajectory, engine: str = "lindblad", units: str = "model") -> TimeSeries:
+def series_from_quantum(traj: QuantumTrajectory, units: str = "model") -> TimeSeries:
     """Populations and coherence components of a quantum trajectory."""
-    return _density_channels(traj.grid.times, traj.rho, engine, units)
+    return _density_channels(traj.grid.times, traj.rho, "lindblad", units)
 
 
 def series_from_classical(traj: ClassicalTrajectory, units: str = "model") -> TimeSeries:
@@ -122,15 +122,14 @@ def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:
         raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
-def read_timeseries(source, fmt: str | None = None) -> TimeSeries:
+def read_timeseries(source) -> TimeSeries:
     """Read a series written by :func:`write_timeseries`.
 
-    The format is inferred from the file suffix unless given.  CSV files do
-    not carry engine or unit tags, so those fields read back as defaults.
+    The format is inferred from the file suffix.  CSV files do not carry
+    engine or unit tags, so those fields read back as defaults.
     """
     path = Path(source)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower() or "csv"
+    fmt = path.suffix.lstrip(".").lower() or "csv"
     if fmt == "csv":
         try:
             with open(path) as fh:
@@ -156,7 +155,7 @@ def read_timeseries(source, fmt: str | None = None) -> TimeSeries:
                 engine=doc.get("engine", "unknown"),
                 units=doc.get("units", "model"),
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:  # bad JSON or field kind
             raise ParseError(f"{path}: {exc}") from exc
     raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 

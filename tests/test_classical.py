@@ -4,7 +4,6 @@ import pytest
 import eetsim.classical
 from eetsim import (
     DensityMatrix,
-    RstState,
     NoiseSpec,
     TimeGrid,
     assemble_sigma,
@@ -12,12 +11,12 @@ from eetsim import (
     initial_rst_mixed,
     initial_rst_pure,
     make_chain,
-    normalize_sigma,
     propagate_classical_rst,
     propagate_lindblad,
     pure_density,
     run_kubo_ensemble,
 )
+from eetsim.classical import RstState, normalize_sigma
 from eetsim.errors import NormCollapse, NotPositive, ValidationError, ZeroState
 
 

@@ -80,7 +80,6 @@ class TestRun:
                        "--engines", "bessel,lindblad", "--grid", "0:0.5:6",
                        "--out", str(tmp_path))
         assert code == 0
-        from eetsim import read_timeseries
         bes = read_timeseries(tmp_path / "bessel.csv")
         lin = read_timeseries(tmp_path / "lindblad.csv")
         diff = np.abs(bes.channels["population:4"] - lin.channels["population:4"]).max()
@@ -227,7 +226,9 @@ class TestRun:
         (["--chain", "2,V=1,eps=0,gamma=1,start=0"], "lindblad,bessel", []),
         (["--model", str(fmo_model_path())], "classical,bessel", []),
         (["--model", "MIXED"], "lindblad,kubo", ["--ntraj", "10"]),
-    ], ids=["ntraj-zero", "ntraj-negative", "bessel-gamma", "bessel-model-file", "kubo-mixed"])
+        (["--chain", "2,V=1,eps=10,gamma=1"], "sse", ["--seed", "-1", "--ntraj", "3"]),
+    ], ids=["ntraj-zero", "ntraj-negative", "bessel-gamma", "bessel-model-file", "kubo-mixed",
+            "seed-negative"])
     def test_config_checked_before_any_engine(self, tmp_path, capsys, scenario, engines, extra):
         # a configuration error exits 2 before any engine writes its file
         mixed = tmp_path / "mixed.json"
@@ -281,6 +282,27 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("eetsim: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "rca"])
+    def test_model_file_error_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(dict(PURE_DIMER, couplings=[[0.0, 0.2], [0.2]])))
+        extra = ["--engines", "lindblad", "--out", str(tmp_path / "out")] if command == "run" else []
+        assert run_cli(command, "--model", str(path), *extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"eetsim: error: {path}: couplings: expected a number or a regular list of numbers"]
+
+    def test_coupling_asymmetry_overflow_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(PURE_DIMER, couplings=[[0.0, 1e308], [-1e308, 0.0]])))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would print two more lines
+            code = run_cli("run", "--model", str(path), "--engines", "lindblad", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "coupling asymmetry" in err[0]
         assert not out.exists()
 
     def test_unwritable_destination_leaves_out_untouched(self, tmp_path, capsys):
@@ -347,6 +369,20 @@ class TestCompare:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("content", [
+        '{"t": [0, 1], "channels": [1, 2]}',
+        '{"t": [0, 1], "channels": {"population:0": "ab"}}',
+        '{"t": [0, 1], "channels": {"population:0": [[1], [1, 2]]}}',
+    ], ids=["channels-list", "channel-text", "channel-ragged"])
+    def test_malformed_json_series(self, tmp_path, capsys, content):
+        a, _ = self.make_pair(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        capsys.readouterr()
+        assert run_cli("compare", str(a), str(bad), "--report", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
     def test_grid_mismatch(self, tmp_path):
         a, _ = self.make_pair(tmp_path)
@@ -420,6 +456,56 @@ def bad_run_arguments(draw):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(bad_run_arguments())
 def test_bad_chain_or_grid_is_one_line_config_error(argv):
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("eetsim: error: ")
+        assert stdout.getvalue() == ""
+        assert not out.exists()
+
+
+_NOT_AN_INT = st.sampled_from(["", "abc", "1.5", "1e3", "nan", "inf", "0x10"])
+
+
+@st.composite
+def bad_option_arguments(draw):
+    """``eetsim run`` arguments on a valid ensemble scenario with one invalid
+    ``--seed``, ``--ntraj``, ``--dt`` or ``--format``, so no engine may start."""
+    t_end = draw(st.floats(min_value=0.1, max_value=10.0))
+    n_samples = draw(st.integers(min_value=2, max_value=20))
+    spacing = t_end / (n_samples - 1)
+    options = {
+        "seed": str(draw(st.integers(min_value=0, max_value=2**63))),
+        "ntraj": str(draw(st.integers(min_value=1, max_value=8))),
+        # a valid step stays above spacing / 1000, so no valid draw schedules a long run
+        "dt": repr(spacing * draw(st.floats(min_value=1e-3, max_value=1.0))),
+        "format": draw(st.sampled_from(["csv", "json"])),
+    }
+    flaw = draw(st.sampled_from(sorted(options)))
+    if flaw == "seed":
+        options["seed"] = draw(st.integers(max_value=-1).map(str) | _NOT_AN_INT)
+    elif flaw == "ntraj":
+        options["ntraj"] = draw(st.integers(max_value=0).map(str) | _NOT_AN_INT)
+    elif flaw == "dt":
+        options["dt"] = draw(
+            st.floats(max_value=0.0).map(repr)
+            | _NON_FINITE
+            | st.floats(min_value=1.0 + 1e-9, max_value=1e6).map(lambda k: repr(spacing * k))
+        )
+    else:
+        options["format"] = draw(st.text(max_size=6).filter(lambda f: f not in ("csv", "json")))
+    engines = draw(st.sampled_from(["sse", "kubo", "lindblad,sse", "kubo,classical"]))
+    return (["run", "--chain", "2,V=1,eps=10,gamma=1", "--engines", engines,
+             f"--grid=0:{t_end!r}:{n_samples}"] + [f"--{key}={value}" for key, value in options.items()])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bad_option_arguments())
+def test_bad_run_option_is_one_line_config_error(argv):
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()

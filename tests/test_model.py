@@ -1,14 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from eetsim import (
-    AggregateModel,
-    DensityMatrix,
-    build_aggregate,
-    convert_energy,
-    pure_density,
-    rca_check,
-)
+from eetsim import DensityMatrix, build_aggregate, pure_density
 from eetsim.errors import (
     AsymmetricCoupling,
     DimensionMismatch,
@@ -16,7 +11,7 @@ from eetsim.errors import (
     NotPositive,
     ValidationError,
 )
-from eetsim.model import _check_stack
+from eetsim.model import AggregateModel, _check_stack, convert_energy, rca_check
 
 
 def nn_chain_arrays(n, v, eps, gamma):
@@ -72,6 +67,12 @@ class TestBuildAggregate:
     def test_coupling_near_float_limit_stays_finite(self):
         model = build_aggregate([1.0, 1.0], [[0.0, 1e308], [1e308, 0.0]], [0.0, 0.0])
         assert model.coupling[0, 1] == model.coupling[1, 0] == 1e308
+
+    def test_asymmetry_near_float_limit_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AsymmetricCoupling):
+                build_aggregate([1.0, 1.0], [[0.0, 1e308], [-1e308, 0.0]], [0.0, 0.0])
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(AsymmetricCoupling):
@@ -179,7 +180,7 @@ class TestDensityMatrix:
         dm = pure_density([1.0, 1.0j])
         assert dm.dimension == 2
         assert np.isclose(dm.trace, 1.0)
-        assert np.isclose(dm.populations().sum(), 1.0)
+        assert np.isclose(np.diag(dm.data).real.sum(), 1.0)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):

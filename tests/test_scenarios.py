@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eetsim import build_aggregate, convert_energy, fmo_model_path, load_model, make_chain
+from eetsim import build_aggregate, fmo_model_path, load_model, make_chain
 from eetsim.errors import (
     AsymmetricCoupling,
     IndexOutOfRange,
@@ -11,6 +11,7 @@ from eetsim.errors import (
     ParseError,
     ValidationError,
 )
+from eetsim.model import convert_energy
 
 CM = convert_energy(1.0)
 

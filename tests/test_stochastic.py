@@ -5,10 +5,8 @@ import eetsim.stochastic
 from eetsim import (
     NoiseSpec,
     TimeGrid,
-    TrajectoryEnsemble,
     assemble_sigma,
     build_aggregate,
-    derive_stream,
     initial_rst_pure,
     make_chain,
     propagate_classical_rst,
@@ -18,7 +16,7 @@ from eetsim import (
 )
 from eetsim.errors import GridMismatch, ValidationError, ZeroState
 from eetsim.integrate import _substeps, resolve_step
-from eetsim.stochastic import _deterministic_rhs, _strang_paths
+from eetsim.stochastic import TrajectoryEnsemble, _deterministic_rhs, _strang_paths, derive_stream
 
 
 def one_path(kind, model, z0, grid, stream):
@@ -43,6 +41,10 @@ class TestNoiseSpec:
     def test_non_finite_rate_rejected(self, rate):
         with pytest.raises(ValidationError):
             NoiseSpec(gamma=[0.1, rate], seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            NoiseSpec(gamma=[0.1], seed=-1)
 
 
 class TestDeriveStream:

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from eetsim import (
-    TimeGrid,
+from eetsim import TimeGrid, initial_rst_pure, make_chain, propagate_classical_rst, propagate_lindblad
+from eetsim.stochastic import TrajectoryEnsemble
+from eetsim.timeseries import (
     TimeSeries,
-    TrajectoryEnsemble,
     compare_series,
-    initial_rst_pure,
-    make_chain,
-    propagate_classical_rst,
-    propagate_lindblad,
     read_timeseries,
     series_from_classical,
     series_from_ensemble,
@@ -119,6 +115,17 @@ class TestFileRoundTrip:
     def test_malformed_csv_rejected(self, tmp_path, content):
         path = tmp_path / "bad.csv"
         path.write_bytes(content)
+        with pytest.raises(ParseError):
+            read_timeseries(path)
+
+    @pytest.mark.parametrize("content", [
+        '{"t": [0, 1], "channels": [1, 2]}',  # channels not an object
+        '{"t": [0, 1], "channels": {"population:0": "ab"}}',  # text channel
+        '{"t": [0, 1], "channels": {"population:0": [[1], [1, 2]]}}',  # ragged channel
+    ])
+    def test_malformed_json_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
         with pytest.raises(ParseError):
             read_timeseries(path)
 
