@@ -2,33 +2,30 @@
 
 The classical analogue of the aggregate replaces every transition dipole by a
 harmonic oscillator whose frequency carries the same white-noise fluctuations
-as the quantum site energy.  The noise-averaged bilinear sigma_nm =
-<z_n z*_m> of the complex oscillator amplitudes plays the role of a density
-matrix after trace normalization, but its equation of motion is not closed:
-it couples to the anomalous moments <z_n z_m>.  Propagating the real
-second-moment triple
+as the quantum site energy.  With amplitudes z = x + i p, the real moments
+M = [[R, T], [T^T, S]] (R = <x x^T>, S = <p p^T>, T = <x p^T>) of quantum and
+classical amplitudes alike obey one Lyapunov equation
 
-    R_nm = <x_n x_m>,  S_nm = <p_n p_m>,  T_nm = <x_n p_m>
+    M' = A M + (A M)^T - G o M + sum_n gamma_n J_n M J_n^T,
 
-closes the system exactly, and sigma is assembled from the whole
-(n_samples, N, N) moment stack at once as
+with G_ab = (gamma_a + gamma_b) / 2 over both blocks and J_n = [[0, 1],
+[-1, 0]] on site n's (x_n, p_n): the exact Ito covariation of the site
+frequency noise.  The quantum drift is A_q = [[0, H], [-H, 0]], H = diag(eps)
++ V; the classical drift adds [[0, -V], [-V, 0]], the counter-rotating
+-i V z* term that the realistic coupling approximation neglects.  sigma_nm =
+<z_n z*_m>, a density matrix after trace normalization, is assembled from the
+whole (n_samples, N, N) moment stack at once as
 
     sigma_nm = R_nm + S_nm + i (T_mn - T_nm).
 
-A quantum state rho fixes sigma, not the anomalous moments <z z^T> =
-R - S + i (T + T^T); one amplitude z = c would give them c c^T, which changes
-under c -> e^{i phi} c while rho does not.  The classical counterpart of rho
-is the phase-averaged ensemble z = c e^{i theta}, theta uniform: R = S =
-Re(rho) / 2, T = -Im(rho) / 2, so sigma = rho and <z z^T> = 0.
-
-The dephasing terms below are the exact Ito covariation of the underlying
-stochastic flow: off-diagonals damp at (gamma_n + gamma_m)/2, while on the
-diagonal the noise exchanges R_nn with S_nn and damps T_nn at 2 gamma_n.
-Under assembly these terms reduce to the same elementwise functional as in
-the quantum master equation, but the anomalous sector they govern feeds back
-into sigma through the couplings, so the distinction matters whenever both V
-and gamma are nonzero.  The ensemble of stochastic oscillator trajectories
-(see :mod:`eetsim.stochastic`) converges to this engine by construction.
+A quantum state rho fixes sigma, not the anomalous moments <z z^T> = R - S +
+i (T + T^T) that the counter-rotating term feeds back into sigma; one
+amplitude z = c would give c c^T, which changes under c -> e^{i phi} c while
+rho does not.  The classical counterpart of rho is the phase-averaged
+ensemble z = c e^{i theta}, theta uniform: R = S = Re(rho) / 2, T =
+-Im(rho) / 2, so sigma = rho and <z z^T> = 0.  The ensemble of stochastic
+oscillator trajectories (see :mod:`eetsim.stochastic`) converges to this
+engine by construction.
 """
 
 from __future__ import annotations
@@ -171,46 +168,43 @@ class ClassicalTrajectory:
 
 
 def _rst_rhs(model: AggregateModel, quantum: bool):
-    """Derivative callback for the moment triple, classical or quantum variant.
+    """Derivative callback for the packed moment triple: the Lyapunov equation above.
 
-    Both share the local-frequency rotation and the exact dephasing
-    covariation; they differ in how the couplings enter (the classical
-    position equation carries no coupling, so the V terms sit asymmetrically).
+    The variants differ only by the drift's counter-rotating term.
     """
     n = model.n_sites
-    n2 = n * n
-    eps_col = model.epsilon[:, None]
-    eps_row = model.epsilon[None, :]
     v = model.coupling
-    gamma = model.gamma
-    ghalf = 0.5 * (gamma[:, None] + gamma[None, :])
-    idx = np.arange(n)
+    drift = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.diag(model.epsilon) + v)  # A_q = [[0, H], [-H, 0]]
+    if not quantum:
+        drift -= np.kron([[0.0, 1.0], [1.0, 0.0]], v)  # Delta A = [[0, -V], [-V, 0]]
+    gamma = np.concatenate([model.gamma, model.gamma])
+    damping = 0.5 * (gamma[:, None] + gamma[None, :])
+    # gamma_n J_n M J_n^T lives on site n's four entries: (x, x) <- S_nn,
+    # (p, p) <- R_nn, and (x, p), (p, x) <- -T_nn.
+    x, p = np.arange(n), np.arange(n, 2 * n)
+    rotated = (np.r_[x, p, x, p], np.r_[x, p, p, x])
+    source = (np.r_[p, x, p, x], np.r_[p, x, x, p])
+    weight = np.r_[gamma, -gamma]
+    m = np.empty((2 * n, 2 * n))  # M, reused by every call
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        r = y[:n2].reshape(n, n)
-        s = y[n2 : 2 * n2].reshape(n, n)
-        t = y[2 * n2 :].reshape(n, n)
-        tt = t.T
-
-        dr = eps_col * tt + t * eps_row - ghalf * r
-        ds = -(eps_col * t + tt * eps_row) - ghalf * s
-        dtm = eps_col * s - r * eps_row - ghalf * t
-        # Ito covariation of the common noise: diagonal exchange R <-> S and
-        # double damping of T_nn.
-        dr[idx, idx] += gamma * s[idx, idx]
-        ds[idx, idx] += gamma * r[idx, idx]
-        dtm[idx, idx] -= gamma * t[idx, idx]
-
-        if quantum:
-            dr += v @ tt + t @ v
-            ds -= v @ t + tt @ v
-            dtm += v @ s - r @ v
-        else:
-            ds -= 2.0 * (v @ t + tt @ v)
-            dtm -= 2.0 * (r @ v)
-        return np.concatenate([dr.ravel(), ds.ravel(), dtm.ravel()])
+        m[:n, :n], m[n:, n:], m[:n, n:] = y.reshape(3, n, n)
+        m[n:, :n] = m[:n, n:].T
+        am = drift @ m
+        # (A M)^T is M A^T for the symmetric M of every state; it keeps dR and dS exactly symmetric
+        dm = am + am.T - damping * m
+        dm[rotated] += weight * m[source]
+        return np.concatenate([dm[:n, :n], dm[n:, n:], dm[:n, n:]]).ravel()
 
     return rhs
+
+
+def _propagate_moments(model: AggregateModel, rst0: RstState, grid: TimeGrid, quantum: bool) -> RstState:
+    """The sampled moment stacks of either variant, started from ``rst0``."""
+    _check_dimension(model, rst0.dimension)
+    dt = resolve_step(model, grid)
+    raw = rk4_propagate(_rst_rhs(model, quantum), rst0.pack(), grid, dt)
+    return _moment_stack(raw, model.n_sites)
 
 
 def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid) -> ClassicalTrajectory:
@@ -233,10 +227,6 @@ def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGri
     ------
     StepTooLarge, InvalidInitialState, NormCollapse
     """
-    _check_dimension(model, rst0.dimension)
-    dt = resolve_step(model, grid)
-    y0 = rst0.pack()
-    raw = rk4_propagate(_rst_rhs(model, quantum=False), y0, grid, dt)
-    states = _moment_stack(raw, model.n_sites)
+    states = _propagate_moments(model, rst0, grid, quantum=False)
     sigma, norms = normalize_sigma(assemble_sigma(states))
     return ClassicalTrajectory(grid=grid, states=states, sigma=sigma, norm_factor=norms)

@@ -3,8 +3,9 @@
 Two independent formulations are provided as mutual oracles: direct
 integration of the density matrix under coherent evolution plus pure
 dephasing, and integration of the quantum second-moment triple (the
-real/imaginary bilinears of the amplitudes) with the density matrix
-assembled from the whole moment stack via rho_nm = R_nm + S_nm + i (T_mn - T_nm).
+moment equation of :mod:`eetsim.classical` with the quantum drift A_q) with
+the density matrix assembled from the whole moment stack via
+rho_nm = R_nm + S_nm + i (T_mn - T_nm).
 Both return the sampled density matrices as one (n_samples, N, N) stack,
 validated once per run.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import RstState, _moment_stack, _rst_rhs, assemble_sigma
+from .classical import RstState, _propagate_moments, assemble_sigma
 from .errors import EetsimError, InvalidInitialState
 from .integrate import TimeGrid, resolve_step, rk4_propagate
 from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack
@@ -115,10 +116,6 @@ def propagate_quantum_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid)
     structurally different ways.  Like the classical engine it checks that
     R and S stay symmetric in every sample (ValidationError otherwise).
     """
-    _check_dimension(model, rst0.dimension)
-    dt = resolve_step(model, grid)
-    y0 = rst0.pack()
-    raw = rk4_propagate(_rst_rhs(model, quantum=True), y0, grid, dt)
-    rho = assemble_sigma(_moment_stack(raw, model.n_sites))
+    rho = assemble_sigma(_propagate_moments(model, rst0, grid, quantum=True))
     _check_unit_trace(rho)
     return QuantumTrajectory(grid=grid, rho=rho)

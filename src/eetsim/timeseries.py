@@ -37,11 +37,15 @@ class TimeSeries:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.ndim != 1:
             raise ValidationError("times must be a vector")
+        if not np.all(np.isfinite(self.times)):
+            raise ValidationError("times hold a non-finite sample")
         clean = {}
         for name, values in self.channels.items():
             v = np.asarray(values, dtype=float)
             if v.shape != self.times.shape:
                 raise ValidationError(f"channel {name!r} length {v.shape} != grid {self.times.shape}")
+            if not np.all(np.isfinite(v)):
+                raise ValidationError(f"channel {name!r} holds a non-finite sample")
             if name.startswith("population:") and (
                 v.min() < -_POPULATION_SLACK or v.max() > 1.0 + _POPULATION_SLACK
             ):
@@ -142,22 +146,22 @@ def read_timeseries(source) -> TimeSeries:
             raise ParseError(f"{path}: {exc}") from exc
         if header[0] != "t" or body.shape[1] != len(header):
             raise ParseError(f"{path}: not a time-series CSV ('t' header over every column)")
-        return TimeSeries(times=body[:, 0], channels=dict(zip(header[1:], body[:, 1:].T)))
-    if fmt == "json":
+        times, channels, tags = body[:, 0], dict(zip(header[1:], body[:, 1:].T)), {}
+    elif fmt == "json":
         try:
             with open(path) as fh:
                 doc = json.load(fh)
             times = np.asarray(doc["t"], dtype=float)
             channels = {k: np.asarray(v, dtype=float) for k, v in doc["channels"].items()}
-            return TimeSeries(
-                times=times,
-                channels=channels,
-                engine=doc.get("engine", "unknown"),
-                units=doc.get("units", "model"),
-            )
+            tags = {"engine": doc.get("engine", "unknown"), "units": doc.get("units", "model")}
         except (KeyError, TypeError, AttributeError, ValueError) as exc:  # bad JSON or field kind
             raise ParseError(f"{path}: {exc}") from exc
-    raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+    else:
+        raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+    try:
+        return TimeSeries(times=times, channels=channels, **tags)
+    except ValidationError as exc:  # a sample out of range or non-finite, a channel off the grid
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from eetsim import (
     pure_density,
     run_kubo_ensemble,
 )
-from eetsim.classical import RstState, normalize_sigma
+from eetsim.classical import RstState, _rst_rhs, normalize_sigma
 from eetsim.errors import NormCollapse, NotPositive, ValidationError, ZeroState
+from eetsim.stochastic import _deterministic_rhs
 
 
 def anomalous(rst):
@@ -109,6 +110,33 @@ class TestAssembleNormalize:
     def test_negative_trace_collapses(self):
         with pytest.raises(NormCollapse):
             normalize_sigma(np.diag([-0.05, -0.05]).astype(complex))
+
+
+class TestLyapunovDrift:
+    """At gamma = 0 the moment derivative is the ensemble's d<u u^T>/dt, u = (x, p)."""
+
+    @pytest.mark.parametrize("quantum,kind", [(True, "sse"), (False, "kubo")])
+    def test_matches_amplitude_derivative(self, quantum, kind):
+        rng = np.random.default_rng(11)
+        n = 5
+        v = rng.normal(size=(n, n))
+        v = v + v.T
+        np.fill_diagonal(v, 0.0)
+        model = build_aggregate(3.0 + rng.normal(size=n), v, 0.0)
+        z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        w = rng.uniform(0.2, 1.0, size=4)
+        zdot = _deterministic_rhs(model, kind)(z)
+        u = np.concatenate([z.real, z.imag], axis=1)  # z = x + i p -> u = (x, p)
+        udot = np.concatenate([zdot.real, zdot.imag], axis=1)
+        m = np.einsum("k,ka,kb->ab", w, u, u)
+        dm = np.einsum("k,ka,kb->ab", w, udot, u)
+        dm = dm + dm.T
+
+        def pack(a):
+            return np.concatenate([a[:n, :n].ravel(), a[n:, n:].ravel(), a[:n, n:].ravel()])
+
+        got = _rst_rhs(model, quantum)(pack(m))
+        assert np.abs(got - pack(dm)).max() <= 1e-13 * np.abs(pack(dm)).max()
 
 
 class TestPropagation:

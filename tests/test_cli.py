@@ -384,6 +384,22 @@ class TestCompare:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("name,content", [
+        ("nan.csv", "t,population:0\r\n0,1\r\n1,nan\r\n"),
+        ("nan_time.csv", "t,population:0\r\n0,1\r\nnan,1\r\n"),
+        ("null.json", '{"t": [0, 1], "channels": {"population:0": [1, null]}}'),
+        ("inf.json", '{"t": [0, 1], "channels": {"coherence_re:0:1": [0, Infinity]}}'),
+    ], ids=["csv-nan", "csv-nan-time", "json-null", "json-infinity"])
+    def test_non_finite_sample_rejected(self, tmp_path, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_text(content, newline="")
+        report = tmp_path / "r.json"
+        assert run_cli("compare", str(bad), str(bad), "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert "non-finite" in captured.err
+        assert not report.exists()
+
     def test_grid_mismatch(self, tmp_path):
         a, _ = self.make_pair(tmp_path)
         run_cli("run", "--chain", "2,V=1,eps=0,gamma=0.5,start=0",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import eetsim.classical
+import eetsim.integrate
 import eetsim.quantum
 from eetsim import (
     DensityMatrix,
@@ -125,15 +127,20 @@ class TestQuantumRst:
 
 
 def corrupt_middle_sample(monkeypatch, edit):
-    """Let the engines' RK4 output carry one edited sample halfway along the run."""
-    rk4 = eetsim.quantum.rk4_propagate
+    """Let the engines' RK4 output carry one edited sample halfway along the run.
+
+    The Lindblad engine steps through ``eetsim.quantum``; the quantum moment
+    engine shares the moment step of ``eetsim.classical``.
+    """
+    rk4 = eetsim.integrate.rk4_propagate
 
     def corrupted(rhs, y0, grid, dt):
         raw = rk4(rhs, y0, grid, dt)
         edit(raw[grid.n_samples // 2])
         return raw
 
-    monkeypatch.setattr(eetsim.quantum, "rk4_propagate", corrupted)
+    for module in (eetsim.quantum, eetsim.classical):
+        monkeypatch.setattr(module, "rk4_propagate", corrupted)
 
 
 def set_density(rho):
