@@ -185,14 +185,17 @@ def _rst_rhs(model: AggregateModel, quantum: bool):
     rotated = (np.r_[x, p, x, p], np.r_[x, p, p, x])
     source = (np.r_[p, x, p, x], np.r_[p, x, x, p])
     weight = np.r_[gamma, -gamma]
-    m = np.empty((2 * n, 2 * n))  # M, reused by every call
+    # M, A M and dM, reused by every call: fresh temporaries in each call shifted
+    # glibc's heap layout and raised the 29-chain run's peak memory
+    m, am, dm = np.empty((3, 2 * n, 2 * n))
 
     def rhs(y: np.ndarray) -> np.ndarray:
         m[:n, :n], m[n:, n:], m[:n, n:] = y.reshape(3, n, n)
         m[n:, :n] = m[:n, n:].T
-        am = drift @ m
+        np.matmul(drift, m, out=am)
         # (A M)^T is M A^T for the symmetric M of every state; it keeps dR and dS exactly symmetric
-        dm = am + am.T - damping * m
+        np.add(am, am.T, out=dm)
+        np.subtract(dm, np.multiply(damping, m, out=am), out=dm)
         dm[rotated] += weight * m[source]
         return np.concatenate([dm[:n, :n], dm[n:, n:], dm[:n, n:]]).ravel()
 

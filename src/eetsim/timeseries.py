@@ -47,7 +47,7 @@ class TimeSeries:
             if not np.all(np.isfinite(v)):
                 raise ValidationError(f"channel {name!r} holds a non-finite sample")
             if name.startswith("population:") and (
-                v.min() < -_POPULATION_SLACK or v.max() > 1.0 + _POPULATION_SLACK
+                np.any(v < -_POPULATION_SLACK) or np.any(v > 1.0 + _POPULATION_SLACK)
             ):
                 raise ValidationError(f"channel {name!r} outside [0, 1]")
             clean[name] = v

@@ -87,6 +87,12 @@ class TestFileRoundTrip:
         back = read_timeseries(path)
         assert back.times.size == 0 and back.channels == {}
 
+    def test_header_only_population_csv(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"t,population:0\r\n")
+        back = read_timeseries(path)
+        assert back.times.size == 0 and back.channels["population:0"].size == 0
+
     def test_populations_sum_to_one_after_roundtrip(self, dimer_series, tmp_path):
         path = tmp_path / "series.csv"
         write_timeseries(dimer_series, "csv", path)
