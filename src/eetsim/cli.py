@@ -122,7 +122,7 @@ def _build_scenario(args):
     return model, initial, None
 
 
-def _check_engines(engines, model, initial, chain, args) -> None:
+def _check_engines(engines, model, initial, chain, grid, args) -> None:
     """Refuse a configuration that any requested engine cannot run, before any engine starts."""
     for engine in engines:
         if engine not in ENGINES:
@@ -132,6 +132,8 @@ def _check_engines(engines, model, initial, chain, args) -> None:
             raise _ConfigError("engine 'bessel' requires a --chain scenario")
         if engine == "bessel" and float(model.gamma.max()) != 0.0:
             raise _ConfigError("engine 'bessel' requires gamma=0")
+        if engine == "bessel" and grid.t_start < 0.0:
+            raise _ConfigError(f"engine 'bessel' requires t_start >= 0, got {grid.t_start}")
         if engine in ("sse", "kubo") and not initial.is_pure:
             raise _ConfigError(f"engine {engine!r} needs a pure initial state")
         if engine in ("sse", "kubo") and args.ntraj < 1:
@@ -172,7 +174,7 @@ def cmd_run(args) -> int:
         engines = [e.strip() for e in args.engines.split(",") if e.strip()]
         if not engines:
             raise _ConfigError("--engines: need at least one engine")
-        _check_engines(engines, model, initial, chain, args)
+        _check_engines(engines, model, initial, chain, grid, args)
         if args.format not in ("csv", "json"):
             raise _ConfigError("--format must be csv or json")
         out_dir = Path(args.out)
@@ -225,26 +227,12 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        series_a = read_timeseries(args.file_a)
-        series_b = read_timeseries(args.file_b)
+        report = compare_series(read_timeseries(args.file_a), read_timeseries(args.file_b))
     except (EetsimError, OSError) as exc:
         return _fail_config(str(exc))
-    common = [name for name in series_a.channels if name in series_b.channels]
-    ignored = sorted(set(series_a.channels).symmetric_difference(series_b.channels))
-    series_a = TimeSeries(series_a.times, {k: series_a.channels[k] for k in common},
-                          series_a.engine, series_a.units)
-    series_b = TimeSeries(series_b.times, {k: series_b.channels[k] for k in common},
-                          series_b.engine, series_b.units)
-    try:
-        report = compare_series(series_a, series_b)
-    except EetsimError as exc:
-        return _fail_config(str(exc))
-    doc = report.to_dict()
-    if ignored:
-        doc["ignored_channels"] = ignored
     try:
         with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         return _fail_config(str(exc))

@@ -1,9 +1,9 @@
 """Sampling grid and the fixed-step RK4 core shared by all deterministic engines.
 
 Every engine packs its state into one flat real vector (2 N^2 reals for a
-density matrix, 3 N^2 for a second-moment triple) and supplies a linear
-derivative callback, so a single tested integrator serves all of them.  Fixed
-steps keep runs deterministic and bit-reproducible.
+density matrix, N (2N + 1) for the symmetric second-moment matrix) and
+supplies a linear derivative callback, so a single tested integrator serves
+all of them.  Fixed steps keep runs deterministic and bit-reproducible.
 
 One step rule serves every engine: the uniform sample spacing splits into
 n_sub equal substeps h.  Each engine is a linear autonomous ODE y' = L y, so

@@ -35,6 +35,8 @@ UNIT_SYSTEMS = ("dimensionless-in-V", "wavenumber")
 
 _COUPLING_SYMMETRY_TOL = 1e-12
 _HERMITICITY_TOL = 1e-12
+#: Positivity tolerance of a DensityMatrix.
+_DENSITY_PSD_TOL = 1e-9
 #: Positivity tolerance of every engine's sampled density matrices.
 _TRAJECTORY_PSD_TOL = 1e-8
 #: Any RCA ratio at or above this makes the verdict "fail".
@@ -186,17 +188,17 @@ def _check_dimension(model: AggregateModel, dimension: int) -> None:
 class DensityMatrix:
     """N x N complex Hermitian matrix with trace and positivity checks.
 
-    The wrapped array is made read-only.  ``psd_tol`` bounds how negative an
-    eigenvalue may be before construction fails.
+    The wrapped array is made read-only.  Construction fails on an eigenvalue
+    below ``-_DENSITY_PSD_TOL`` times max(1, largest entry).
     """
 
     __slots__ = ("data",)
 
-    def __init__(self, data, psd_tol: float = 1e-9):
+    def __init__(self, data):
         a = np.array(data, dtype=complex)
         if a.ndim != 2:
             raise DimensionMismatch(f"density matrix must be square, got shape {a.shape}")
-        self.data = _check_stack(a, psd_tol)
+        self.data = _check_stack(a, _DENSITY_PSD_TOL)
 
     @property
     def dimension(self) -> int:
@@ -206,9 +208,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.data).real)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data).min())
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(dim={self.dimension}, trace={self.trace:.6f})"
 
@@ -217,8 +216,8 @@ def pure_density(amplitudes) -> DensityMatrix:
     """Density matrix |c><c| of a normalized amplitude vector."""
     c = np.asarray(amplitudes, dtype=complex)
     norm = float(np.vdot(c, c).real)
-    if norm <= 0.0:
-        raise ValidationError("amplitude vector has zero norm")
+    if not 0.0 < norm < np.inf:
+        raise ValidationError("amplitude vector has zero or non-finite norm")
     c = c / np.sqrt(norm)
     return DensityMatrix(np.outer(c, c.conj()))
 
@@ -236,7 +235,6 @@ class RcaReport:
     ratio_detune: float
     ratio_gamma: float
     verdict: str
-    threshold: float = 0.1
     reason: str = ""
 
     def summary(self) -> str:
@@ -268,7 +266,6 @@ def rca_check(model: AggregateModel, threshold: float = 0.1) -> RcaReport:
             ratio_detune=float("inf"),
             ratio_gamma=float("inf"),
             verdict="fail",
-            threshold=threshold,
             reason="non-positive transition frequency",
         )
     vmax_per_row = np.abs(model.coupling).max(axis=1) if model.n_sites > 1 else np.zeros(1)
@@ -284,4 +281,4 @@ def rca_check(model: AggregateModel, threshold: float = 0.1) -> RcaReport:
         verdict = "fail"
     else:
         verdict = "marginal"
-    return RcaReport(ratio_v, ratio_detune, ratio_gamma, verdict, threshold)
+    return RcaReport(ratio_v, ratio_detune, ratio_gamma, verdict)

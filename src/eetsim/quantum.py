@@ -113,8 +113,7 @@ def propagate_quantum_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid)
     Uses the same initial-state builders as the classical engine.  Agrees
     with :func:`propagate_lindblad` to integrator accuracy; useful as a
     cross-check because the couplings enter the two formulations in
-    structurally different ways.  Like the classical engine it checks that
-    R and S stay symmetric in every sample (ValidationError otherwise).
+    structurally different ways.
     """
     rho = assemble_sigma(_propagate_moments(model, rst0, grid, quantum=True))
     _check_unit_trace(rho)

@@ -203,8 +203,8 @@ def _run_ensemble(kind, model, z0, grid, noise: NoiseSpec, n_traj: int) -> Traje
         raise DimensionMismatch(
             f"amplitude vector shape {z.shape} does not match model dimension {model.n_sites}"
         )
-    if float(np.vdot(z, z).real) <= 0.0:
-        raise ZeroState("amplitude vector has zero norm")
+    if not 0.0 < float(np.vdot(z, z).real) < np.inf:
+        raise ZeroState("amplitude vector has zero or non-finite norm")
     per_traj = grid.n_samples * model.n_sites * 16
     chunk = min(_CHUNK_TRAJECTORIES, max(1, _CHUNK_MEMORY_BYTES // per_traj))
     ens = TrajectoryEnsemble(grid, model.n_sites)

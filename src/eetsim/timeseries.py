@@ -177,15 +177,19 @@ class DiffReport:
 
     channels: dict[str, ChannelDiff]
     overall_max: float
+    ignored_channels: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "overall_max": self.overall_max,
             "channels": {
                 name: {"max_abs": d.max_abs, "t_of_max": d.t_of_max, "l2": d.l2}
                 for name, d in self.channels.items()
             },
         }
+        if self.ignored_channels:
+            doc["ignored_channels"] = list(self.ignored_channels)
+        return doc
 
 
 def _coherence_pairs(names: list[str]) -> list[tuple[str, str, str]]:
@@ -201,18 +205,18 @@ def _coherence_pairs(names: list[str]) -> list[tuple[str, str, str]]:
 
 
 def compare_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
-    """Absolute differences per channel, plus derived coherence magnitudes.
+    """Absolute differences per shared channel, plus derived coherence magnitudes.
 
-    Requires identical grids and channel sets.  For every stored coherence
-    component pair an extra ``coherence_abs:n:m`` entry reports the
-    difference of magnitudes, which is the quantity usually plotted.
+    Requires identical grids and at least one shared channel (ChannelMismatch
+    otherwise); the others are listed as ``ignored_channels``.  For every
+    stored coherence component pair an extra ``coherence_abs:n:m`` entry
+    reports the difference of magnitudes, which is the quantity usually plotted.
     """
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise GridMismatch("series grids differ")
-    if set(a.channels) != set(b.channels):
-        only_a = sorted(set(a.channels) - set(b.channels))
-        only_b = sorted(set(b.channels) - set(a.channels))
-        raise ChannelMismatch(f"channel sets differ (only in a: {only_a}, only in b: {only_b})")
+    common = [name for name in a.channels if name in b.channels]
+    if not common:
+        raise ChannelMismatch(f"no channel in common (a: {sorted(a.channels)}, b: {sorted(b.channels)})")
 
     diffs: dict[str, ChannelDiff] = {}
 
@@ -225,12 +229,12 @@ def compare_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
             l2=float(np.sqrt(np.sum(d * d))),
         )
 
-    for name in a.channels:
+    for name in common:
         record(name, a.channels[name], b.channels[name])
-    for abs_name, re_name, im_name in _coherence_pairs(list(a.channels)):
+    for abs_name, re_name, im_name in _coherence_pairs(common):
         mag_a = np.hypot(a.channels[re_name], a.channels[im_name])
         mag_b = np.hypot(b.channels[re_name], b.channels[im_name])
         record(abs_name, mag_a, mag_b)
 
     overall = max((d.max_abs for d in diffs.values()), default=0.0)
-    return DiffReport(channels=diffs, overall_max=overall)
+    return DiffReport(diffs, overall, ignored_channels=tuple(sorted(set(a.channels) ^ set(b.channels))))

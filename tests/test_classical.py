@@ -8,11 +8,14 @@ from eetsim import (
     TimeGrid,
     assemble_sigma,
     build_aggregate,
+    fmo_model_path,
     initial_rst_mixed,
     initial_rst_pure,
+    load_model,
     make_chain,
     propagate_classical_rst,
     propagate_lindblad,
+    propagate_quantum_rst,
     pure_density,
     run_kubo_ensemble,
 )
@@ -78,11 +81,6 @@ class TestInitialStates:
         rst = initial_rst_mixed(DensityMatrix(rho))
         assert np.abs(assemble_sigma(rst) - rho).max() < 1e-12
 
-    def test_not_positive_rejected(self):
-        bad = DensityMatrix(np.diag([1.01, -0.01]), psd_tol=0.1)
-        with pytest.raises(NotPositive):
-            initial_rst_mixed(bad)
-
 
 class TestAssembleNormalize:
     def test_zero_moments(self):
@@ -132,11 +130,9 @@ class TestLyapunovDrift:
         dm = np.einsum("k,ka,kb->ab", w, udot, u)
         dm = dm + dm.T
 
-        def pack(a):
-            return np.concatenate([a[:n, :n].ravel(), a[n:, n:].ravel(), a[:n, n:].ravel()])
-
-        got = _rst_rhs(model, quantum)(pack(m))
-        assert np.abs(got - pack(dm)).max() <= 1e-13 * np.abs(pack(dm)).max()
+        upper = np.triu_indices(2 * n)  # the packed state: M's upper triangle, row by row
+        got = _rst_rhs(model, quantum)(m[upper])
+        assert np.abs(got - dm[upper]).max() <= 1e-13 * np.abs(dm[upper]).max()
 
 
 class TestPropagation:
@@ -232,7 +228,7 @@ def corrupt_middle_sample(monkeypatch, edit):
 
     def corrupted(rhs, y0, grid, dt):
         raw = rk4(rhs, y0, grid, dt)
-        edit(raw[grid.n_samples // 2].reshape(3, 2, 2))
+        edit(raw[grid.n_samples // 2])
         return raw
 
     monkeypatch.setattr(eetsim.classical, "rk4_propagate", corrupted)
@@ -240,34 +236,55 @@ def corrupt_middle_sample(monkeypatch, edit):
 
 def set_sigma(sigma):
     # phase-averaged moments R = S = sigma / 2, T = 0 of a real sigma
-    def edit(rst):
-        rst[:] = [0.5 * np.asarray(sigma), 0.5 * np.asarray(sigma), np.zeros((2, 2))]
+    def edit(row):
+        half = 0.5 * np.asarray(sigma)
+        row[:] = RstState(half, half, np.zeros((2, 2))).pack()
     return edit
-
-
-def skew_r(rst):
-    # R and S skewed oppositely: sigma stays Hermitian, only the R/S symmetry check sees it
-    rst[0, 0, 1] += 0.1
-    rst[1, 0, 1] -= 0.1
 
 
 class TestStackChecks:
     """Every sample of the moment and sigma stacks is checked; one bad sample fails the run."""
 
     @pytest.mark.parametrize("edit,exc_type", [
-        (skew_r, ValidationError),
         (set_sigma(np.diag([1.1, -0.1])), NotPositive),
         (set_sigma(np.zeros((2, 2))), NormCollapse),
         # raw eigenvalue -5e-9 passes at scale 0.1; after dividing by the
         # trace 0.1 it is -5e-8 and fails
         (set_sigma(np.diag([0.1, -5e-9])), NotPositive),
-    ], ids=["asymmetric-r", "raw-negative-eigenvalue", "norm-collapse", "normalized-negative-eigenvalue"])
+    ], ids=["raw-negative-eigenvalue", "norm-collapse", "normalized-negative-eigenvalue"])
     def test_bad_sample(self, monkeypatch, edit, exc_type):
         model, init = make_chain(2, 1.0, 4.0, 0.5, 0)
         corrupt_middle_sample(monkeypatch, edit)
         with pytest.raises(exc_type) as info:
             propagate_classical_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 1.0, 11))
         assert type(info.value) is exc_type
+
+    @pytest.mark.parametrize("block", ["r", "s"])
+    def test_asymmetric_stack_rejected(self, block):
+        # the engines carry one copy of each symmetric moment; a stack built
+        # elsewhere is still checked sample by sample
+        moments = {name: np.zeros((11, 2, 2)) for name in "rst"}
+        moments[block][5, 0, 1] = 0.1
+        with pytest.raises(ValidationError) as info:
+            RstState(moments["r"], moments["s"], moments["t"])
+        assert type(info.value) is ValidationError
+
+    def test_packed_size_on_fmo(self, monkeypatch):
+        # both moment engines hand the integrator M's upper triangle: N (2N + 1) reals
+        model, init = load_model(fmo_model_path())
+        sizes = []
+        rk4 = eetsim.classical.rk4_propagate
+
+        def recording(rhs, y0, grid, dt):
+            sizes.append(y0.size)
+            return rk4(rhs, y0, grid, dt)
+
+        monkeypatch.setattr(eetsim.classical, "rk4_propagate", recording)
+        rst0 = initial_rst_pure(init.amplitudes)
+        grid = TimeGrid(0.0, 1e-3, 3)
+        propagate_classical_rst(model, rst0, grid)
+        propagate_quantum_rst(model, rst0, grid)
+        assert sizes == [105, 105]  # 7 (2 * 7 + 1)
 
     def test_stacks_read_only(self):
         model, init = make_chain(3, 1.0, 2.0, 0.5, 1)

@@ -227,8 +227,9 @@ class TestRun:
         (["--model", str(fmo_model_path())], "classical,bessel", []),
         (["--model", "MIXED"], "lindblad,kubo", ["--ntraj", "10"]),
         (["--chain", "2,V=1,eps=10,gamma=1"], "sse", ["--seed", "-1", "--ntraj", "3"]),
+        (["--chain", "3,V=1,eps=5,gamma=0"], "lindblad,bessel", ["--grid=-1:1:3"]),
     ], ids=["ntraj-zero", "ntraj-negative", "bessel-gamma", "bessel-model-file", "kubo-mixed",
-            "seed-negative"])
+            "seed-negative", "bessel-negative-time"])
     def test_config_checked_before_any_engine(self, tmp_path, capsys, scenario, engines, extra):
         # a configuration error exits 2 before any engine writes its file
         mixed = tmp_path / "mixed.json"
@@ -350,6 +351,16 @@ class TestCompare:
         doc = json.loads(report.read_text())
         assert doc["ignored_channels"] == ["norm_factor"]
         assert doc["overall_max"] < 1e-8  # V=0-free dimer: engines agree here
+
+    def test_no_common_channel(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,a\n0,1\n1,2\n")
+        b.write_text("t,b\n0,1\n1,2\n")
+        report = tmp_path / "r.json"
+        assert run_cli("compare", str(a), str(b), "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not report.exists()
 
     def test_missing_file(self, tmp_path):
         a, _ = self.make_pair(tmp_path)

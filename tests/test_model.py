@@ -3,13 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
-from eetsim import DensityMatrix, build_aggregate, pure_density
+from eetsim import (
+    DensityMatrix,
+    NoiseSpec,
+    TimeGrid,
+    build_aggregate,
+    initial_rst_pure,
+    make_chain,
+    pure_density,
+    run_sse_ensemble,
+)
 from eetsim.errors import (
     AsymmetricCoupling,
     DimensionMismatch,
     NegativeRate,
     NotPositive,
     ValidationError,
+    ZeroState,
 )
 from eetsim.model import AggregateModel, _check_stack, convert_energy, rca_check
 
@@ -190,9 +200,16 @@ class TestDensityMatrix:
         with pytest.raises(NotPositive):
             DensityMatrix(np.diag([1.1, -0.1]))
 
-    def test_loosened_tolerance_admits_noise(self):
-        dm = DensityMatrix(np.diag([1.0, -5e-9]), psd_tol=1e-8)
-        assert dm.min_eigenvalue() < 0.0
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("caller,exc_type", [
+        (pure_density, ValidationError),
+        (initial_rst_pure, ZeroState),
+        (lambda c: run_sse_ensemble(make_chain(2, 1.0, 2.0, 1.0, 0)[0], c, TimeGrid(0.0, 1.0, 3),
+                                    NoiseSpec(gamma=np.ones(2), seed=1), n_traj=2), ZeroState),
+    ], ids=["pure_density", "initial_rst_pure", "run_sse_ensemble"])
+    def test_non_finite_amplitudes_rejected(self, caller, exc_type, value):
+        # the zero-norm check also refuses a NaN or infinite amplitude, without a warning
+        raises_exactly(exc_type, caller, [value, 0.0])
 
     def test_immutable(self):
         dm = pure_density([1.0, 0.0])

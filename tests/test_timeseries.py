@@ -183,9 +183,18 @@ class TestCompareSeries:
 
     def test_channel_mismatch(self, dimer_series):
         other = TimeSeries(times=dimer_series.times.copy(),
-                           channels={"population:0": dimer_series.channels["population:0"]})
+                           channels={"norm_factor": np.ones(dimer_series.n_samples)})
         with pytest.raises(ChannelMismatch):
             compare_series(dimer_series, other)
+
+    def test_common_channels_compared(self, dimer_series):
+        other = TimeSeries(times=dimer_series.times.copy(),
+                           channels={"population:0": dimer_series.channels["population:0"],
+                                     "norm_factor": np.ones(dimer_series.n_samples)})
+        doc = compare_series(dimer_series, other).to_dict()
+        assert list(doc["channels"]) == ["population:0"]
+        assert doc["ignored_channels"] == [
+            "coherence_im:0:1", "coherence_re:0:1", "norm_factor", "population:1"]
 
     def test_report_dict_shape(self, dimer_series):
         doc = compare_series(dimer_series, dimer_series).to_dict()
