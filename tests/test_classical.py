@@ -239,22 +239,42 @@ def set_sigma(sigma):
     def edit(row):
         half = 0.5 * np.asarray(sigma)
         row[:] = RstState(half, half, np.zeros((2, 2))).pack()
-    return edit
+    return lambda monkeypatch: corrupt_middle_sample(monkeypatch, edit)
+
+
+def skew_r(monkeypatch):
+    """Let the moment stacks the engine assembles carry an asymmetric R halfway along the run.
+
+    The packed state holds one copy of each symmetric moment, so the skew goes
+    in where the stacks are built; RstState must still refuse the sample.
+    """
+    build = eetsim.classical.RstState
+
+    def skewed(r, s, t):
+        # R and S skewed oppositely: sigma stays Hermitian, only the R/S symmetry check sees it
+        r, s = np.array(r), np.array(s)
+        if r.ndim == 3:
+            r[r.shape[0] // 2, 0, 1] += 0.1
+            s[s.shape[0] // 2, 0, 1] -= 0.1
+        return build(r, s, t)
+
+    monkeypatch.setattr(eetsim.classical, "RstState", skewed)
 
 
 class TestStackChecks:
     """Every sample of the moment and sigma stacks is checked; one bad sample fails the run."""
 
-    @pytest.mark.parametrize("edit,exc_type", [
+    @pytest.mark.parametrize("corrupt,exc_type", [
+        (skew_r, ValidationError),
         (set_sigma(np.diag([1.1, -0.1])), NotPositive),
         (set_sigma(np.zeros((2, 2))), NormCollapse),
         # raw eigenvalue -5e-9 passes at scale 0.1; after dividing by the
         # trace 0.1 it is -5e-8 and fails
         (set_sigma(np.diag([0.1, -5e-9])), NotPositive),
-    ], ids=["raw-negative-eigenvalue", "norm-collapse", "normalized-negative-eigenvalue"])
-    def test_bad_sample(self, monkeypatch, edit, exc_type):
+    ], ids=["asymmetric-r", "raw-negative-eigenvalue", "norm-collapse", "normalized-negative-eigenvalue"])
+    def test_bad_sample(self, monkeypatch, corrupt, exc_type):
         model, init = make_chain(2, 1.0, 4.0, 0.5, 0)
-        corrupt_middle_sample(monkeypatch, edit)
+        corrupt(monkeypatch)
         with pytest.raises(exc_type) as info:
             propagate_classical_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 1.0, 11))
         assert type(info.value) is exc_type

@@ -155,7 +155,26 @@ def set_moments(rho):
     def edit(row):
         half = 0.5 * np.asarray(rho)
         row[:] = RstState(half, half, np.zeros((2, 2))).pack()
-    return edit
+    return lambda monkeypatch: corrupt_middle_sample(monkeypatch, edit)
+
+
+def skew_moments(monkeypatch):
+    """Let the quantum moment engine's stacks carry an asymmetric R halfway along the run.
+
+    The engine shares the packed state and the stack assembly of
+    ``eetsim.classical``; RstState must still refuse the sample.
+    """
+    build = eetsim.classical.RstState
+
+    def skewed(r, s, t):
+        # R and S skewed oppositely: sigma stays Hermitian, only the R/S symmetry check sees it
+        r, s = np.array(r), np.array(s)
+        if r.ndim == 3:
+            r[r.shape[0] // 2, 0, 1] += 0.1
+            s[s.shape[0] // 2, 0, 1] -= 0.1
+        return build(r, s, t)
+
+    monkeypatch.setattr(eetsim.classical, "RstState", skewed)
 
 
 class TestStackChecks:
@@ -173,13 +192,14 @@ class TestStackChecks:
             propagate_lindblad(model, init.rho, TimeGrid(0.0, 1.0, 11))
         assert type(info.value) is exc_type
 
-    @pytest.mark.parametrize("edit,exc_type", [
+    @pytest.mark.parametrize("corrupt,exc_type", [
+        (skew_moments, ValidationError),
         (set_moments(np.diag([1.1, -0.1])), NotPositive),
         (set_moments(np.diag([0.6, 0.5])), EetsimError),
-    ], ids=["negative-eigenvalue", "trace-drift"])
-    def test_quantum_rst_bad_sample(self, monkeypatch, edit, exc_type):
+    ], ids=["asymmetric-r", "negative-eigenvalue", "trace-drift"])
+    def test_quantum_rst_bad_sample(self, monkeypatch, corrupt, exc_type):
         model, init = make_chain(2, 1.0, 0.0, 0.5, 0)
-        corrupt_middle_sample(monkeypatch, edit)
+        corrupt(monkeypatch)
         with pytest.raises(exc_type) as info:
             propagate_quantum_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 1.0, 11))
         assert type(info.value) is exc_type
