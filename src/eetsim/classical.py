@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NormCollapse, ValidationError, ZeroState
-from .integrate import TimeGrid, resolve_step, rk4_propagate
+from .integrate import TimeGrid, _substeps, expm_propagate, resolve_step
 from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack
 
 _SYMMETRY_TOL = 1e-12
@@ -94,7 +94,7 @@ def _moment_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moment_stack(raw: np.ndarray, n: int) -> RstState:
-    """The packed RK4 output rows as one triple of (n_samples, N, N) stacks."""
+    """The packed propagator output rows as one triple of (n_samples, N, N) stacks."""
     index, _ = _moment_layout(n)
     # one gather of R, S and T: all of M would also keep T^T, 1.5 MiB more on the 29-chain run
     moments = raw.take(np.stack([index[:n, :n], index[n:, n:], index[:n, n:]]), axis=1)
@@ -216,13 +216,15 @@ def _rst_rhs(model: AggregateModel, quantum: bool):
 def _propagate_moments(model: AggregateModel, rst0: RstState, grid: TimeGrid, quantum: bool) -> RstState:
     """The sampled moment stacks of either variant, started from ``rst0``."""
     _check_dimension(model, rst0.dimension)
-    dt = resolve_step(model, grid)
-    raw = rk4_propagate(_rst_rhs(model, quantum), rst0.pack(), grid, dt)
+    _substeps(grid.spacing, resolve_step(model, grid))  # the step rule's refusals hold here too
+    raw = expm_propagate(_rst_rhs(model, quantum), rst0.pack(), grid)
     return _moment_stack(raw, model.n_sites)
 
 
 def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGrid) -> ClassicalTrajectory:
-    """Integrate the closed classical moment system and assemble sigma.
+    """Propagate the closed classical moment system exactly and assemble sigma.
+
+    See :mod:`eetsim.integrate` for the propagator and its tolerance.
 
     Parameters
     ----------

@@ -1,15 +1,23 @@
-"""Sampling grid and the fixed-step RK4 core shared by all deterministic engines.
+"""Sampling grid, step rule and the exact propagator shared by all deterministic engines.
 
 Every engine packs its state into one flat real vector (2 N^2 reals for a
 density matrix, N (2N + 1) for the symmetric second-moment matrix) and
-supplies a linear derivative callback, so a single tested integrator serves
-all of them.  Fixed steps keep runs deterministic and bit-reproducible.
+supplies a linear derivative callback y' = L y.  L is autonomous, so each
+sample interval is exactly y <- e^{L spacing} y, and :func:`expm_propagate`
+computes that product: small systems probe L once and form the dense
+interval map by scaling and squaring (:func:`_expm`); large systems take
+Krylov steps with the callback as the matrix-vector product.  The result
+does not depend on a step size, and reruns are bit-reproducible.
 
-One step rule serves every engine: the uniform sample spacing splits into
-n_sub equal substeps h.  Each engine is a linear autonomous ODE y' = L y, so
-one RK4 substep is the fixed matrix P = I + hL + ... + (hL)^4/24.  Small
-systems probe L once and advance each sample interval by P^n_sub, built by
-binary powering in O(log n_sub) products; large systems step the callback.
+Tolerance: the dense map is exact to rounding, about 1e-16 times the norm of
+L spacing; each accepted Krylov step has an estimated error of at most 1e-12
+times the norm of the state it starts from.
+
+One step rule serves the stochastic engines, whose Strang splitting does
+need a step: the uniform sample spacing splits into n_sub equal substeps h,
+and each deterministic half step is the RK4 polynomial matrix of
+:func:`_rk4_map`.  The deterministic engines run the same rule as a request
+check only, so a step it refuses is refused by every engine alike.
 """
 
 from __future__ import annotations
@@ -27,18 +35,35 @@ from .model import AggregateModel
 STEP_GUARD = 0.1
 #: Default step resolves the fastest phase with 100 steps per radian.
 DEFAULT_STEP_FACTOR = 0.01
-#: Up to this flat dimension rk4_propagate advances by a dense per-interval
-#: RK4 map; beyond it the map measured slower than stepping the callback, and
+#: Up to this flat dimension expm_propagate forms the dense interval map;
+#: beyond it the D probes and D x D products cost more than Krylov steps, and
 #: one D x D matrix would dominate the run's memory.
 _LINEARIZE_MAX_DIM = 600
+#: _expm's Taylor degree, the 1-norm its scaled argument is brought to, and
+#: the powers X, ..., X^_TAYLOR_POWERS its Paterson-Stockmeyer form keeps.
+_TAYLOR_DEGREE = 18
+_TAYLOR_THETA = 1.0
+_TAYLOR_POWERS = 4
+#: Coefficients 1/k! of the increment e^X - I (none for k = 0), padded with
+#: zeros to whole blocks; row j holds the coefficients of X^{4j}, ..., X^{4j+3}.
+_TAYLOR_BLOCKS = np.array(
+    [0.0] + [1.0 / math.factorial(k) for k in range(1, _TAYLOR_DEGREE + 1)]
+    + [0.0] * (-(_TAYLOR_DEGREE + 1) % _TAYLOR_POWERS)
+).reshape(-1, _TAYLOR_POWERS)
+#: A Krylov step is accepted when Saad's error estimate is at most this times
+#: the norm of the state; its basis grows to at most _KRYLOV_MAX_DIM vectors.
+_KRYLOV_TOL = 1e-12
+_KRYLOV_MAX_DIM = 30
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform output grid plus an optional internal integration step.
 
-    ``dt_integrate`` is the upper bound on the internal RK4 step; when left
-    ``None`` the propagators derive it from the model's fastest rate.
+    ``dt_integrate`` is the upper bound on the stochastic engines' substep;
+    when left ``None`` it is derived from the model's fastest rate.  The
+    deterministic engines take no step, but refuse a ``dt_integrate`` that
+    :func:`resolve_step` refuses.
     """
 
     t_start: float
@@ -101,6 +126,10 @@ def _substeps(span: float, dt: float) -> tuple[int, float]:
     return n_sub, span / n_sub
 
 
+def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,jk->ik", x, y, out=out)
+
+
 def _rk4_map(generator: np.ndarray, n_sub: int, h: float) -> np.ndarray:
     """The RK4 step matrix P = I + hL + ... + (hL)^4 / 24, raised to ``n_sub``.
 
@@ -112,18 +141,14 @@ def _rk4_map(generator: np.ndarray, n_sub: int, h: float) -> np.ndarray:
     of the process (about 0.5 MiB after one 147 x 147 product); one einsum
     product at D = 147 takes about 1.4 ms.
     """
-
-    def product(x, y, out):
-        return np.einsum("ij,jk->ik", x, y, out=out)
-
     dim = generator.shape[0]
     poly = np.eye(dim)
     tmp = np.empty_like(poly)
     for k in (4.0, 3.0, 2.0):  # Horner: I + A/2 (I + A/3 (I + A/4)), A = hL
-        product(generator, poly, tmp)
+        _product(generator, poly, tmp)
         np.multiply(tmp, h / k, out=poly)
         poly.flat[:: dim + 1] += 1.0
-    inc = product(generator, poly, tmp)
+    inc = _product(generator, poly, tmp)
     inc *= h
     result = poly
     result.fill(0.0)
@@ -131,44 +156,121 @@ def _rk4_map(generator: np.ndarray, n_sub: int, h: float) -> np.ndarray:
     n = n_sub
     while n:
         if n & 1:
-            product(result, inc, tmp)
+            _product(result, inc, tmp)
             result += inc
             result += tmp
         n >>= 1
         if n:
-            product(inc, inc, tmp)
+            _product(inc, inc, tmp)
             inc *= 2.0
             inc += tmp
     result.flat[:: dim + 1] += 1.0
     return result
 
 
-def rk4_propagate(rhs, y0: np.ndarray, grid: TimeGrid, dt: float) -> np.ndarray:
-    """Fixed-step RK4 of a linear autonomous derivative ``rhs``, sampled at every grid time.
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring of a degree-18 Taylor polynomial.
 
-    Every interval takes the ``n_sub`` substeps ``h`` of :func:`_substeps`.  Up
-    to ``_LINEARIZE_MAX_DIM`` the callback is probed once per basis vector and
-    each sample is the interval map P^n_sub times the previous one; beyond it
-    the callback is stepped.  Returns an array of shape (n_samples, len(y0)).
+    a is scaled by 2^-s until its 1-norm is at most 1, where the truncation
+    error 1 / 19! = 8e-18 lies below the rounding of the increment.  As in
+    :func:`_rk4_map`, the polynomial is the increment E = e^X - I, the s
+    squarings act on it (E <- 2E + E E) and I is added once at the end.  E is
+    evaluated in the Paterson-Stockmeyer form: from X, ..., X^4, Horner's rule
+    in X^4 over blocks of four terms, 7 products where Horner's rule in X
+    takes 17.  Every product is an einsum.  Raises EetsimError when the norm
+    of ``a`` or the result is not finite.
     """
-    y = np.asarray(y0, dtype=float).copy()
-    n_sub, h = _substeps(grid.spacing, dt)
+    dim = a.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+        if not math.isfinite(norm):
+            raise EetsimError(f"e^(L t) over a propagation step: the norm of L t is {norm}")
+        squarings = math.ceil(math.log2(norm / _TAYLOR_THETA)) if norm > _TAYLOR_THETA else 0
+        powers = np.empty((_TAYLOR_POWERS, dim, dim))
+        np.multiply(a, 2.0**-squarings, out=powers[0])
+        for p in range(1, _TAYLOR_POWERS):
+            _product(powers[p - 1], powers[0], powers[p])
+        inc = np.empty((dim, dim))
+        tmp = np.zeros((dim, dim))
+        for j in range(len(_TAYLOR_BLOCKS) - 1, -1, -1):  # E = B_0 + X^4 (B_1 + ... + X^4 B_4)
+            np.einsum("k,kij->ij", _TAYLOR_BLOCKS[j, 1:], powers[:-1], out=inc)
+            inc.reshape(-1)[:: dim + 1] += _TAYLOR_BLOCKS[j, 0]
+            inc += tmp
+            if j:
+                _product(powers[-1], inc, tmp)
+        for _ in range(squarings):
+            _product(inc, inc, tmp)
+            inc *= 2.0
+            inc += tmp
+        inc.reshape(-1)[:: dim + 1] += 1.0
+    if not np.isfinite(inc).all():
+        raise EetsimError("e^(L t) over a propagation step is not finite")
+    return inc
+
+
+def _krylov_flow(rhs, y: np.ndarray, span: float, basis: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """e^{L span} y by Arnoldi steps, with ``rhs`` as the product L v.
+
+    Each step builds an orthonormal basis of {y, L y, ..., L^{m-1} y} by
+    classical Gram-Schmidt applied twice (CGS2), and takes y <- beta V_m
+    e^{tau H_m} e_1 with beta = |y|.  It is accepted once Saad's estimate
+    beta h_{m+1,m} tau |[e^{tau H_m}]_{m,1}| is at most _KRYLOV_TOL beta; at m
+    = _KRYLOV_MAX_DIM, tau is halved on the same basis until it is.  ``basis``
+    and ``hess`` are reused workspaces.
+    """
+    remaining = span
+    while remaining > 0.0:
+        beta = float(np.linalg.norm(y))
+        if beta == 0.0:
+            return y
+        if not math.isfinite(beta):
+            raise EetsimError("state is not finite")
+        np.divide(y, beta, out=basis[0])
+        tau = remaining
+        for j in range(_KRYLOV_MAX_DIM):
+            w = np.array(rhs(basis[j]))
+            done = basis[: j + 1]
+            coeffs = done @ w
+            w -= coeffs @ done
+            again = done @ w
+            w -= again @ done
+            hess[: j + 1, j] = coeffs + again
+            hess[j + 1, j] = norm = float(np.linalg.norm(w))
+            flow = _expm(tau * hess[: j + 1, : j + 1])
+            if norm * tau * abs(flow[j, 0]) <= _KRYLOV_TOL or j + 1 == _KRYLOV_MAX_DIM:
+                break
+            np.divide(w, norm, out=basis[j + 1])
+        while norm * tau * abs(flow[j, 0]) > _KRYLOV_TOL:
+            tau *= 0.5
+            flow = _expm(tau * hess[: j + 1, : j + 1])
+        y = beta * (flow[:, 0] @ done)
+        remaining -= tau
+    return y
+
+
+def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Exact flow y <- e^{L spacing} y of a linear autonomous derivative ``rhs``, at every grid time.
+
+    Up to ``_LINEARIZE_MAX_DIM`` the callback is probed once per basis vector,
+    the interval map e^{L spacing} is formed once and each sample is one
+    product with it; beyond it every interval takes the Krylov steps of
+    :func:`_krylov_flow`.  Returns an array of shape (n_samples, len(y0)).
+    """
+    y = np.asarray(y0, dtype=float)
     out = np.empty((grid.n_samples, y.size))
     out[0] = y
-    if y.size <= _LINEARIZE_MAX_DIM:
-        generator = np.column_stack([rhs(e) for e in np.eye(y.size)])
-        interval = _rk4_map(generator, n_sub, h)
-        for i in range(grid.n_samples - 1):
-            np.matmul(interval, out[i], out=out[i + 1])
-        return out
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(1, grid.n_samples):
-        for _ in range(n_sub):
-            k1 = rhs(y)
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + h * k3)
-            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[i] = y
+    # non-finite values are refused by _expm, _krylov_flow and the engines'
+    # stack checks, never reported as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if y.size <= _LINEARIZE_MAX_DIM:
+            generator = np.column_stack([rhs(e) for e in np.eye(y.size)])
+            generator *= grid.spacing
+            interval = _expm(generator)
+            for i in range(grid.n_samples - 1):
+                np.matmul(interval, out[i], out=out[i + 1])
+            return out
+        basis = np.empty((_KRYLOV_MAX_DIM, y.size))
+        hess = np.zeros((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM))
+        for i in range(1, grid.n_samples):
+            out[i] = _krylov_flow(rhs, out[i - 1], grid.spacing, basis, hess)
     return out

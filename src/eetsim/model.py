@@ -159,10 +159,10 @@ def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
     bad = ~np.isfinite(scale)
     if np.any(bad):
         raise ValidationError(f"non-finite entry in sample {int(np.flatnonzero(bad)[0])}")
-    skew = a.conj().swapaxes(-1, -2)
-    skew -= a
-    herm = np.abs(skew).max(axis=(-2, -1))
-    del skew
+    # |A^H - A| from its real and imaginary parts: two real temporaries, not a complex one and its modulus
+    skew_re = a.real.swapaxes(-1, -2) - a.real
+    herm = np.hypot(skew_re, np.add(a.imag.swapaxes(-1, -2), a.imag), out=skew_re).max(axis=(-2, -1))
+    del skew_re
     bad = herm > _HERMITICITY_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         raise ValidationError(f"matrix not Hermitian: max |A - A^H| = {herm[bad].flat[0]:.3e}")

@@ -5,8 +5,8 @@ same kind of stochastic equation: deterministic coupled evolution plus a
 white-noise modulation of each site frequency.  A trajectory is integrated
 with Strang splitting: half a deterministic RK4 step, an exactly unitary
 per-site phase kick with variance gamma * h, and the second deterministic
-half step.  Every sample interval takes the n_sub substeps of width h that
-the deterministic engines take too.  The kick average reproduces the
+half step.  Every sample interval takes the n_sub substeps of width h of the
+step rule in :mod:`eetsim.integrate`.  The kick average reproduces the
 dephasing functional exactly per step, so no separate noise-induced drift
 term is (or may be) added.  The deterministic part is linear, so each RK4
 half step is applied as one precomputed real 2N x 2N matrix on the (re, im)

@@ -223,15 +223,15 @@ class TestPropagation:
 
 
 def corrupt_middle_sample(monkeypatch, edit):
-    """Let the classical RK4 output carry one edited sample halfway along the run."""
-    rk4 = eetsim.classical.rk4_propagate
+    """Let the classical propagator output carry one edited sample halfway along the run."""
+    propagate = eetsim.classical.expm_propagate
 
-    def corrupted(rhs, y0, grid, dt):
-        raw = rk4(rhs, y0, grid, dt)
+    def corrupted(rhs, y0, grid):
+        raw = propagate(rhs, y0, grid)
         edit(raw[grid.n_samples // 2])
         return raw
 
-    monkeypatch.setattr(eetsim.classical, "rk4_propagate", corrupted)
+    monkeypatch.setattr(eetsim.classical, "expm_propagate", corrupted)
 
 
 def set_sigma(sigma):
@@ -290,16 +290,16 @@ class TestStackChecks:
         assert type(info.value) is ValidationError
 
     def test_packed_size_on_fmo(self, monkeypatch):
-        # both moment engines hand the integrator M's upper triangle: N (2N + 1) reals
+        # both moment engines hand the propagator M's upper triangle: N (2N + 1) reals
         model, init = load_model(fmo_model_path())
         sizes = []
-        rk4 = eetsim.classical.rk4_propagate
+        propagate = eetsim.classical.expm_propagate
 
-        def recording(rhs, y0, grid, dt):
+        def recording(rhs, y0, grid):
             sizes.append(y0.size)
-            return rk4(rhs, y0, grid, dt)
+            return propagate(rhs, y0, grid)
 
-        monkeypatch.setattr(eetsim.classical, "rk4_propagate", recording)
+        monkeypatch.setattr(eetsim.classical, "expm_propagate", recording)
         rst0 = initial_rst_pure(init.amplitudes)
         grid = TimeGrid(0.0, 1e-3, 3)
         propagate_classical_rst(model, rst0, grid)

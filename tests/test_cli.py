@@ -201,8 +201,8 @@ class TestRun:
             f"wrote {tmp_path / name}" for name in ("lindblad.csv", "classical.csv")]
 
     def test_long_grid_small_system(self, tmp_path):
-        # 10^9 RK4 substeps of 1e-3: a small system applies each sample
-        # interval as one precomputed RK4 power instead of stepping for hours
+        # sample intervals of 5e5: a small system applies each as one
+        # precomputed exponential, where 10^9 steps of 1e-3 would take hours
         start = time.perf_counter()
         code = run_cli("run", "--chain", "2,V=1,eps=10,gamma=1,start=0",
                        "--engines", "lindblad", "--grid", "0:1e6:3", "--out", str(tmp_path))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eetsim.integrate
 from eetsim import build_aggregate, initial_rst_pure, load_model, fmo_model_path
@@ -7,11 +8,12 @@ from eetsim.classical import _rst_rhs
 from eetsim.errors import EetsimError, StepTooLarge, ValidationError
 from eetsim.integrate import (
     TimeGrid,
+    _expm,
     _rk4_map,
     _substeps,
+    expm_propagate,
     rate_scale,
     resolve_step,
-    rk4_propagate,
 )
 from eetsim.quantum import _lindblad_rhs, _pack_density
 
@@ -84,82 +86,63 @@ class TestStepRule:
 
 
 class TestRk4:
-    def test_fourth_order_convergence(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 4))
-        a = a - 2.0 * np.eye(4)  # keep it stable
-        y0 = rng.normal(size=4)
-
-        import scipy.linalg
-
-        exact = scipy.linalg.expm(a) @ y0
-        # the callback loop and the dense per-interval map
-        for max_dim in (0, 600):
-            monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", max_dim)
-            errors = []
-            for dt in (0.05, 0.025):
-                grid = TimeGrid(0.0, 1.0, 2, dt_integrate=dt)
-                out = rk4_propagate(lambda y: a @ y, y0, grid, dt)
-                errors.append(np.abs(out[-1] - exact).max())
-            ratio = errors[0] / errors[1]
-            assert 12.0 < ratio < 20.0
+    """expm_propagate on systems with a known solution (named for the RK4 core it first tested)."""
 
     def test_exponential_decay(self):
         grid = TimeGrid(0.0, 3.0, 31)
-        out = rk4_propagate(lambda y: -y, np.array([1.0]), grid, 0.01)
-        assert np.abs(out[:, 0] - np.exp(-grid.times)).max() < 1e-9
+        out = expm_propagate(lambda y: -y, np.array([1.0]), grid)
+        assert np.abs(out[:, 0] - np.exp(-grid.times)).max() < 1e-14
 
     def test_samples_at_grid_points(self):
         grid = TimeGrid(0.0, 1.0, 6)
-        out = rk4_propagate(lambda y: 0.0 * y, np.array([2.0, 3.0]), grid, 0.07)
+        out = expm_propagate(lambda y: 0.0 * y, np.array([2.0, 3.0]), grid)
         assert out.shape == (6, 2)
         assert np.all(out == [2.0, 3.0])
 
 
-class TestDenseOrCallback:
-    @pytest.mark.parametrize("dim", [12, 601])
-    def test_rhs_calls_pin_the_choice(self, dim):
-        # up to the threshold: one probe per basis vector, then matrix
-        # products only; above it: four calls per substep and no probes
-        a = -0.1 * np.eye(dim)
-        calls = []
-
-        def rhs(y):
-            calls.append(y.copy())
-            return a @ y
-
-        grid = TimeGrid(0.0, 1.0, 4)
-        rk4_propagate(rhs, np.ones(dim), grid, 0.1)
-        n_sub, _ = _substeps(grid.spacing, 0.1)
-        if dim <= eetsim.integrate._LINEARIZE_MAX_DIM:
-            assert len(calls) == dim
-            assert np.array_equal(np.array(calls), np.eye(dim))
-        else:
-            assert len(calls) == 4 * n_sub * (grid.n_samples - 1)
-            assert np.array_equal(calls[0], np.ones(dim))
+class TestExactFlow:
+    @pytest.mark.parametrize("max_dim", [600, 0], ids=["dense", "krylov"])
+    def test_matches_exact_solution(self, monkeypatch, max_dim):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
+        y0 = rng.normal(size=4)
+        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", max_dim)
+        grid = TimeGrid(0.0, 1.0, 5)
+        out = expm_propagate(lambda y: a @ y, y0, grid)
+        exact = np.array([scipy.linalg.expm(a * t) @ y0 for t in grid.times])
+        assert np.abs(out - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
-def rk4_step_matrix(a, h):
-    ah = h * a
-    return sum(np.linalg.matrix_power(ah, k) / f for k, f in enumerate((1, 1, 2, 6, 24)))
+class TestExpm:
+    @pytest.mark.parametrize("dim", [5, 20, 50, 105])
+    @pytest.mark.parametrize("norm", [0.1, 1.0, 5.0, 30.0])
+    def test_matches_scipy(self, dim, norm):
+        # 1-norms from 0.1 sqrt(D) to 30 sqrt(D), general and antisymmetric
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim))
+        for b in (a, a - a.T):
+            b = b * (norm * np.sqrt(dim) / np.abs(b).sum(axis=0).max())
+            expected = scipy.linalg.expm(b)
+            assert np.abs(_expm(b) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+
+    @pytest.mark.parametrize("a", [
+        np.full((3, 3), 1e308), np.diag([1.0, np.inf]), np.diag([1.0, np.nan]), np.diag([800.0, 0.0]),
+    ], ids=["norm-overflows", "inf-entry", "nan-entry", "result-overflows"])
+    def test_non_finite_refused(self, a):
+        # an EetsimError, not an OverflowError or a numpy RuntimeWarning
+        with pytest.raises(EetsimError) as info:
+            _expm(a)
+        assert type(info.value) is EetsimError
 
 
-class TestRk4Map:
-    @pytest.mark.parametrize("n_sub", [1, 2, 7, 2380])
-    def test_equals_power_of_step_matrix(self, n_sub):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
-        h = 1e-3
-        expected = np.linalg.matrix_power(rk4_step_matrix(a, h), n_sub)
-        got = _rk4_map(a, n_sub, h)
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-
+class TestKrylov:
     @pytest.mark.parametrize("engine", ["lindblad", "classical"])
-    def test_fmo_matches_callback_loop(self, monkeypatch, engine):
-        # realistic FMO energies, 20 intervals of 2380 substeps.  Rounding in
-        # the dense powers grows with the rotation per interval: 1e-13 on
-        # the classical D = 147 system, whose on-site terms turn 45 rad per
-        # interval, 6e-15 on the Lindblad D = 98 one, which sees only gaps
+    def test_matches_dense_on_fmo(self, monkeypatch, engine):
+        # realistic FMO energies: each 0.01 interval turns the classical
+        # on-site terms by about 45 rad, so the Krylov path must split it
         model, init = load_model(fmo_model_path())
         if engine == "lindblad":
             rhs = _lindblad_rhs(model)
@@ -168,9 +151,71 @@ class TestRk4Map:
             rhs = _rst_rhs(model, quantum=False)
             y0 = initial_rst_pure(init.amplitudes).pack()
         grid = TimeGrid(0.0, 0.2, 21)
-        dt = resolve_step(model, grid)
         assert y0.size <= eetsim.integrate._LINEARIZE_MAX_DIM
-        mapped = rk4_propagate(rhs, y0, grid, dt)
+        dense = expm_propagate(rhs, y0, grid)
         monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
-        stepped = rk4_propagate(rhs, y0, grid, dt)
-        assert np.abs(mapped - stepped).max() <= 2e-13 * np.abs(stepped).max()
+        krylov = expm_propagate(rhs, y0, grid)
+        assert np.abs(krylov - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_split_interval_honours_estimate(self, monkeypatch):
+        # a fast rotation with damping: no basis of _KRYLOV_MAX_DIM vectors
+        # spans one interval, so each interval is split into shorter steps
+        rng = np.random.default_rng(5)
+        dim = 80
+        a = rng.normal(size=(dim, dim))
+        a = 20.0 * (a - a.T) / np.sqrt(dim) - np.diag(rng.uniform(0.0, 1.0, dim))
+        y0 = rng.normal(size=dim)
+        calls = []
+
+        def rhs(y):
+            calls.append(None)
+            return a @ y
+
+        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        grid = TimeGrid(0.0, 1.0, 3)
+        out = expm_propagate(rhs, y0, grid)
+        assert len(calls) > 2 * eetsim.integrate._KRYLOV_MAX_DIM
+        for t, y in zip(grid.times, out):
+            exact = scipy.linalg.expm(a * t) @ y0
+            assert np.abs(y - exact).max() <= 1e-10 * np.abs(y0).max()
+
+
+class TestDenseOrCallback:
+    @pytest.mark.parametrize("dim", [12, 601])
+    def test_rhs_calls_pin_the_choice(self, dim):
+        # up to the threshold: one probe per basis vector, then matrix
+        # products only; above it: Krylov products and no probes.  -0.1 I
+        # leaves every Krylov basis at one vector, so one call per interval
+        a = -0.1 * np.eye(dim)
+        calls = []
+
+        def rhs(y):
+            calls.append(y.copy())
+            return a @ y
+
+        grid = TimeGrid(0.0, 1.0, 4)
+        out = expm_propagate(rhs, np.ones(dim), grid)
+        assert np.abs(out - np.exp(-0.1 * grid.times)[:, None]).max() <= 1e-14
+        if dim <= eetsim.integrate._LINEARIZE_MAX_DIM:
+            assert len(calls) == dim
+            assert np.array_equal(np.array(calls), np.eye(dim))
+        else:
+            assert len(calls) == grid.n_samples - 1
+            assert np.allclose(np.array(calls), dim**-0.5, rtol=0.0, atol=1e-15)
+
+
+def rk4_step_matrix(a, h):
+    ah = h * a
+    return sum(np.linalg.matrix_power(ah, k) / f for k, f in enumerate((1, 1, 2, 6, 24)))
+
+
+class TestRk4Map:
+    # the stochastic engines' half step
+    @pytest.mark.parametrize("n_sub", [1, 2, 7, 2380])
+    def test_equals_power_of_step_matrix(self, n_sub):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
+        h = 1e-3
+        expected = np.linalg.matrix_power(rk4_step_matrix(a, h), n_sub)
+        got = _rk4_map(a, n_sub, h)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -74,6 +74,24 @@ class TestLindblad:
         with pytest.raises(StepTooLarge):
             propagate_lindblad(model, init.rho, grid)
 
+    def test_uncoupled_chain_closed_form(self):
+        # V = 0: populations stay and each coherence rotates and decays,
+        # rho_nm(t) = rho_nm(0) exp(-i (eps_n - eps_m) t - (gamma_n + gamma_m) t / 2)
+        # for n != m.  At 29 sites (D = 1682) the Krylov path propagates it.
+        n = 29
+        rng = np.random.default_rng(3)
+        model = build_aggregate(rng.uniform(-5.0, 5.0, n), np.zeros((n, n)), rng.uniform(0.0, 1.0, n))
+        assert 2 * n * n > eetsim.integrate._LINEARIZE_MAX_DIM
+        rho0 = pure_density(np.full(n, n**-0.5))
+        grid = TimeGrid(0.0, 4.0, 41)
+        traj = propagate_lindblad(model, rho0, grid)
+        eps, gamma = model.epsilon, model.gamma
+        decay = 0.5 * (gamma[:, None] + gamma[None, :])
+        np.fill_diagonal(decay, 0.0)
+        t = grid.times[:, None, None]
+        exact = rho0.data * np.exp(-1j * (eps[:, None] - eps[None, :]) * t - decay * t)
+        assert np.abs(traj.rho - exact).max() <= 1e-12
+
     def test_invalid_initial_state(self):
         model, _ = make_chain(2, 1.0, 0.0, 0.0, 0)
         grid = TimeGrid(0.0, 1.0, 11)
@@ -128,20 +146,20 @@ class TestQuantumRst:
 
 
 def corrupt_middle_sample(monkeypatch, edit):
-    """Let the engines' RK4 output carry one edited sample halfway along the run.
+    """Let the engines' propagator output carry one edited sample halfway along the run.
 
-    The Lindblad engine steps through ``eetsim.quantum``; the quantum moment
-    engine shares the moment step of ``eetsim.classical``.
+    The Lindblad engine propagates through ``eetsim.quantum``; the quantum
+    moment engine shares the moment propagation of ``eetsim.classical``.
     """
-    rk4 = eetsim.integrate.rk4_propagate
+    propagate = eetsim.integrate.expm_propagate
 
-    def corrupted(rhs, y0, grid, dt):
-        raw = rk4(rhs, y0, grid, dt)
+    def corrupted(rhs, y0, grid):
+        raw = propagate(rhs, y0, grid)
         edit(raw[grid.n_samples // 2])
         return raw
 
     for module in (eetsim.quantum, eetsim.classical):
-        monkeypatch.setattr(module, "rk4_propagate", corrupted)
+        monkeypatch.setattr(module, "expm_propagate", corrupted)
 
 
 def set_density(rho):
