@@ -10,6 +10,7 @@ variable when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from .integrate import TimeGrid
 from .model import rca_check
 from .quantum import propagate_lindblad
 from .scenarios import _model_from_document, _read_document, make_chain
-from .scenarios import load_model  # noqa: F401  (not called; perfbench/spans.py looks it up here)
 from .stochastic import NoiseSpec, run_kubo_ensemble, run_sse_ensemble
 from .timeseries import (
     TimeSeries,
@@ -178,18 +178,19 @@ def cmd_run(args) -> int:
         if args.format not in ("csv", "json"):
             raise _ConfigError("--format must be csv or json")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
     except (_ConfigError, OSError, EetsimError) as exc:
         return _fail_config(str(exc))
 
     destinations = [out_dir / f"{engine}.{args.format}" for engine in engines]
     # Files of an earlier run wait under hidden temporary names until every
-    # engine has succeeded.  After a failure this run's files are removed and
-    # the earlier ones put back.
+    # engine has succeeded.  After a failure this run's files and directories
+    # are removed and the earlier files put back.
     earlier = {}
     written = []
     complete = False
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for destination in dict.fromkeys(destinations):
             if destination.exists():
                 handle, name = tempfile.mkstemp(prefix=f".{destination.name}.", dir=out_dir)
@@ -215,6 +216,9 @@ def cmd_run(args) -> int:
         if not complete:
             for destination in written:
                 destination.unlink(missing_ok=True)
+            for directory in created:
+                with contextlib.suppress(OSError):  # never made (mkdir failed first), or not empty
+                    directory.rmdir()
         for destination, hidden in earlier.items():
             if complete:
                 hidden.unlink()

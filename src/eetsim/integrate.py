@@ -15,8 +15,8 @@ times the norm of the state it starts from.
 
 One step rule serves the stochastic engines, whose Strang splitting does
 need a step: the uniform sample spacing splits into n_sub equal substeps h,
-and each deterministic half step is the RK4 polynomial matrix of
-:func:`_rk4_map`.  The deterministic engines run the same rule as a request
+and each deterministic half step is the exact flow e^{L h/2} from
+:func:`_expm`.  The deterministic engines run the same rule as a request
 check only, so a step it refuses is refused by every engine alike.
 """
 
@@ -127,58 +127,21 @@ def _substeps(span: float, dt: float) -> tuple[int, float]:
 
 
 def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # einsum, not BLAS gemm: gemm's packing buffers stay resident (0.5 MiB after one at D = 147)
     return np.einsum("ij,jk->ik", x, y, out=out)
-
-
-def _rk4_map(generator: np.ndarray, n_sub: int, h: float) -> np.ndarray:
-    """The RK4 step matrix P = I + hL + ... + (hL)^4 / 24, raised to ``n_sub``.
-
-    Binary powering acts on the increment E = P - I (square: E <- 2E + E E;
-    combine: R <- R + E + R E) and adds I once at the end, so the small
-    increments are not rounded against the identity at every product.  Three
-    D x D buffers are reused throughout.  The products use np.einsum rather
-    than BLAS gemm, whose operand-packing buffers stay resident for the rest
-    of the process (about 0.5 MiB after one 147 x 147 product); one einsum
-    product at D = 147 takes about 1.4 ms.
-    """
-    dim = generator.shape[0]
-    poly = np.eye(dim)
-    tmp = np.empty_like(poly)
-    for k in (4.0, 3.0, 2.0):  # Horner: I + A/2 (I + A/3 (I + A/4)), A = hL
-        _product(generator, poly, tmp)
-        np.multiply(tmp, h / k, out=poly)
-        poly.flat[:: dim + 1] += 1.0
-    inc = _product(generator, poly, tmp)
-    inc *= h
-    result = poly
-    result.fill(0.0)
-    tmp = np.empty_like(poly)
-    n = n_sub
-    while n:
-        if n & 1:
-            _product(result, inc, tmp)
-            result += inc
-            result += tmp
-        n >>= 1
-        if n:
-            _product(inc, inc, tmp)
-            inc *= 2.0
-            inc += tmp
-    result.flat[:: dim + 1] += 1.0
-    return result
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """e^a by scaling and squaring of a degree-18 Taylor polynomial.
 
     a is scaled by 2^-s until its 1-norm is at most 1, where the truncation
-    error 1 / 19! = 8e-18 lies below the rounding of the increment.  As in
-    :func:`_rk4_map`, the polynomial is the increment E = e^X - I, the s
-    squarings act on it (E <- 2E + E E) and I is added once at the end.  E is
-    evaluated in the Paterson-Stockmeyer form: from X, ..., X^4, Horner's rule
-    in X^4 over blocks of four terms, 7 products where Horner's rule in X
-    takes 17.  Every product is an einsum.  Raises EetsimError when the norm
-    of ``a`` or the result is not finite.
+    error 1 / 19! = 8e-18 lies below the rounding of the increment.  The
+    polynomial is the increment E = e^X - I, the s squarings act on it (E <-
+    2E + E E) and I is added once at the end, so the small increments are not
+    rounded against the identity at every product.  E is evaluated in the
+    Paterson-Stockmeyer form: from X, ..., X^4, Horner's rule in X^4 over
+    blocks of four terms, 7 products where Horner's rule in X takes 17.  Raises
+    EetsimError when the norm of ``a`` or the result is not finite.
     """
     dim = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -72,7 +72,7 @@ def _check_unit_trace(rho: np.ndarray) -> None:
     trace = np.trace(rho, axis1=1, axis2=2).real
     drifted = np.abs(trace - 1.0) > _TRACE_TOL
     if np.any(drifted):
-        raise EetsimError(f"trace drifted to {float(trace[drifted][0])}; step too coarse")
+        raise EetsimError(f"trace drifted to {float(trace[drifted][0])}")
 
 
 def propagate_lindblad(model: AggregateModel, rho0: DensityMatrix, grid: TimeGrid) -> QuantumTrajectory:

@@ -3,16 +3,15 @@
 Both the quantum amplitudes and the classical oscillator amplitudes obey the
 same kind of stochastic equation: deterministic coupled evolution plus a
 white-noise modulation of each site frequency.  A trajectory is integrated
-with Strang splitting: half a deterministic RK4 step, an exactly unitary
-per-site phase kick with variance gamma * h, and the second deterministic
-half step.  Every sample interval takes the n_sub substeps of width h of the
-step rule in :mod:`eetsim.integrate`.  The kick average reproduces the
-dephasing functional exactly per step, so no separate noise-induced drift
-term is (or may be) added.  The deterministic part is linear, so each RK4
-half step is applied as one precomputed real 2N x 2N matrix on the (re, im)
-view of the amplitudes, the same map for every substep and every trajectory
-of a batch; adjacent half steps are not merged, since two half steps of RK4
-differ from one full step.
+with Strang splitting: the exact deterministic flow over half a step, an
+exactly unitary per-site phase kick with variance gamma * h, and the second
+deterministic half step.  Every sample interval takes the n_sub substeps of
+width h of the step rule in :mod:`eetsim.integrate`.  The kick average
+reproduces the dephasing functional exactly per step, so no separate
+noise-induced drift term is (or may be) added.  The deterministic part is
+linear, so each half step is applied as one precomputed real 2N x 2N matrix
+e^{G h/2} on the (re, im) view of the amplitudes, the same map for every
+substep and every trajectory of a batch.
 
 Reproducibility contract: the stream for trajectory ``k`` is derived from
 ``(master_seed, k)`` alone through a counter-based generator, and every
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, ValidationError, ZeroState
-from .integrate import TimeGrid, _rk4_map, _substeps, resolve_step
+from .integrate import TimeGrid, _expm, _substeps, resolve_step
 from .model import AggregateModel
 
 _CHUNK_TRAJECTORIES = 1024
@@ -122,10 +121,9 @@ def _strang_paths(
     # The deterministic part is real-linear in the interleaved (re, im) view
     # of z.  Row j of ``generator`` is the derivative of the j-th real basis
     # vector (which also captures Kubo's Re(z) coupling), so a batch of rows
-    # advances by one RK4 half step as y @ P, P being the RK4 polynomial of
-    # that matrix for h / 2.
+    # advances by the exact half step as y @ e^{G h/2}, G being that matrix.
     generator = _deterministic_rhs(model, kind)(np.eye(2 * n).view(complex)).view(float)
-    half_step = _rk4_map(generator, 1, 0.5 * h)
+    half_step = _expm(0.5 * h * generator)
 
     z = np.broadcast_to(np.asarray(z0, dtype=complex), (batch, n)).copy()
     out = _mapped((batch, grid.n_samples, n), complex)

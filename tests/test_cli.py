@@ -190,6 +190,16 @@ class TestRun:
         assert [p.name for p in out.iterdir()] == ["lindblad.csv"]
         assert (out / "lindblad.csv").read_text() == "earlier run\n"
 
+    def test_failed_run_removes_the_out_it_created(self, tmp_path, capsys):
+        # a fresh nested --out: the classical blow-up leaves neither directory behind
+        out = tmp_path / "a" / "b"
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "classical", "--grid", "0:1000:3", "--out", str(out))
+        assert code == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+        assert not (tmp_path / "a").exists()
+
     def test_completed_run_replaces_earlier_files(self, tmp_path, capsys):
         (tmp_path / "lindblad.csv").write_text("earlier run\n")
         code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",

@@ -9,7 +9,6 @@ from eetsim.errors import EetsimError, StepTooLarge, ValidationError
 from eetsim.integrate import (
     TimeGrid,
     _expm,
-    _rk4_map,
     _substeps,
     expm_propagate,
     rate_scale,
@@ -202,20 +201,3 @@ class TestDenseOrCallback:
         else:
             assert len(calls) == grid.n_samples - 1
             assert np.allclose(np.array(calls), dim**-0.5, rtol=0.0, atol=1e-15)
-
-
-def rk4_step_matrix(a, h):
-    ah = h * a
-    return sum(np.linalg.matrix_power(ah, k) / f for k, f in enumerate((1, 1, 2, 6, 24)))
-
-
-class TestRk4Map:
-    # the stochastic engines' half step
-    @pytest.mark.parametrize("n_sub", [1, 2, 7, 2380])
-    def test_equals_power_of_step_matrix(self, n_sub):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
-        h = 1e-3
-        expected = np.linalg.matrix_power(rk4_step_matrix(a, h), n_sub)
-        got = _rk4_map(a, n_sub, h)
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eetsim.stochastic
 from eetsim import (
@@ -142,9 +143,9 @@ class TestKuboTrajectory:
 
 class TestStrangMap:
     @pytest.mark.parametrize("kind", ["sse", "kubo"])
-    def test_substep_equals_four_call_rk4(self, kind):
-        # one substep: RK4 half step, phase kick, RK4 half step, each half
-        # step the explicit four-call formula
+    def test_substep_equals_exact_flow(self, kind):
+        # one substep: exact half step, phase kick, exact half step, each half
+        # step scipy's e^{G h/2} of the probed real 2N x 2N generator
         model, _ = make_chain(3, 1.0, 2.0, 0.8, 0)
         grid = TimeGrid(0.0, 0.004, 2)
         n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
@@ -152,14 +153,11 @@ class TestStrangMap:
         z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])
         got = _strang_paths(kind, model, z0, grid, [derive_stream(3, 0)])[0, 1]
 
-        rhs = _deterministic_rhs(model, kind)
+        generator = _deterministic_rhs(model, kind)(np.eye(6).view(complex)).view(float)
+        flow = scipy.linalg.expm(0.5 * h * generator)
 
         def half_step(z):
-            k1 = rhs(z)
-            k2 = rhs(z + (0.25 * h) * k1)
-            k3 = rhs(z + (0.25 * h) * k2)
-            k4 = rhs(z + (0.5 * h) * k3)
-            return z + (h / 12.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            return (z.view(float) @ flow).view(complex)
 
         kick = np.exp(-1j * np.sqrt(h * model.gamma) * derive_stream(3, 0).standard_normal((1, 3))[0])
         expected = half_step(half_step(z0) * kick)
