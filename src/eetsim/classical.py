@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NormCollapse, ValidationError, ZeroState
-from .integrate import TimeGrid, _substeps, expm_propagate, resolve_step
+from .integrate import TimeGrid, expm_propagate
 from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack
 
 _SYMMETRY_TOL = 1e-12
@@ -216,7 +216,6 @@ def _rst_rhs(model: AggregateModel, quantum: bool):
 def _propagate_moments(model: AggregateModel, rst0: RstState, grid: TimeGrid, quantum: bool) -> RstState:
     """The sampled moment stacks of either variant, started from ``rst0``."""
     _check_dimension(model, rst0.dimension)
-    _substeps(grid.spacing, resolve_step(model, grid))  # the step rule's refusals hold here too
     raw = expm_propagate(_rst_rhs(model, quantum), rst0.pack(), grid)
     return _moment_stack(raw, model.n_sites)
 
@@ -241,7 +240,7 @@ def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGri
 
     Raises
     ------
-    StepTooLarge, InvalidInitialState, NormCollapse
+    InvalidInitialState, NormCollapse
     """
     states = _propagate_moments(model, rst0, grid, quantum=False)
     sigma, norms = normalize_sigma(assemble_sigma(states))

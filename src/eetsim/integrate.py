@@ -13,11 +13,10 @@ Tolerance: the dense map is exact to rounding, about 1e-16 times the norm of
 L spacing; each accepted Krylov step has an estimated error of at most 1e-12
 times the norm of the state it starts from.
 
-One step rule serves the stochastic engines, whose Strang splitting does
-need a step: the uniform sample spacing splits into n_sub equal substeps h,
+The step rule serves only the stochastic engines, whose Strang splitting
+needs a step: the uniform sample spacing splits into n_sub equal substeps h,
 and each deterministic half step is the exact flow e^{L h/2} from
-:func:`_expm`.  The deterministic engines run the same rule as a request
-check only, so a step it refuses is refused by every engine alike.
+:func:`_expm`.  The deterministic engines take no step and ignore the rule.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ class TimeGrid:
 
     ``dt_integrate`` is the upper bound on the stochastic engines' substep;
     when left ``None`` it is derived from the model's fastest rate.  The
-    deterministic engines take no step, but refuse a ``dt_integrate`` that
-    :func:`resolve_step` refuses.
+    deterministic engines take no step and ignore it.
     """
 
     t_start: float

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import RstState, _propagate_moments, assemble_sigma
 from .errors import EetsimError, InvalidInitialState
-from .integrate import TimeGrid, _substeps, expm_propagate, resolve_step
+from .integrate import TimeGrid, expm_propagate
 from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack
 
 _TRACE_TOL = 1e-8
@@ -93,16 +93,12 @@ def propagate_lindblad(model: AggregateModel, rho0: DensityMatrix, grid: TimeGri
 
     Raises
     ------
-    StepTooLarge
-        When the requested integration step cannot resolve the fastest
-        model rate (the step rule is checked for every engine alike).
     InvalidInitialState
     """
     _check_dimension(model, rho0.dimension)
     if abs(rho0.trace - 1.0) > _TRACE_TOL:
         raise InvalidInitialState(f"initial trace {rho0.trace} is not 1")
     n = model.n_sites
-    _substeps(grid.spacing, resolve_step(model, grid))  # the step rule's refusals hold here too
     raw = expm_propagate(_lindblad_rhs(model), _pack_density(rho0.data), grid)
     rho = _check_stack(raw.view(complex).reshape(-1, n, n), _TRAJECTORY_PSD_TOL)
     _check_unit_trace(rho)

@@ -1,4 +1,4 @@
-"""Trajectory-level engines: stochastic amplitude paths and their averages.
+"""Trajectory-level engines: stochastic amplitude trajectories and their averages.
 
 Both the quantum amplitudes and the classical oscillator amplitudes obey the
 same kind of stochastic equation: deterministic coupled evolution plus a
@@ -11,13 +11,14 @@ reproduces the dephasing functional exactly per step, so no separate
 noise-induced drift term is (or may be) added.  The deterministic part is
 linear, so each half step is applied as one precomputed real 2N x 2N matrix
 e^{G h/2} on the (re, im) view of the amplitudes, the same map for every
-substep and every trajectory of a batch.
+substep and every trajectory of a batch.  A batch is folded into the
+ensemble sums at each sample time as it steps; no path is stored.
 
 Reproducibility contract: the stream for trajectory ``k`` is derived from
 ``(master_seed, k)`` alone through a counter-based generator, and every
-trajectory consumes its noise in a fixed order, so ensembles are pure
-functions of (seed, n_traj, model, grid) regardless of how trajectories are
-batched internally.  Kubo trajectory k first draws a global phase theta_k,
+trajectory consumes its noise in a fixed order, so trajectories do not
+depend on how they are batched, and batching moves an ensemble, a pure
+function of (seed, n_traj, model, grid), only by rounding in its sums.  Kubo trajectory k first draws a global phase theta_k,
 uniform on [0, 2 pi), so the ensemble samples the phase-averaged state whose
 moments the classical engine propagates: its path is the single-trajectory
 path from z0 exp(i theta_k) with stream_k continued.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import mmap
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,7 @@ from .integrate import TimeGrid, _expm, _substeps, resolve_step
 from .model import AggregateModel
 
 _CHUNK_TRAJECTORIES = 1024
-#: Bytes of sampled amplitudes one batch holds.
+#: Bytes of one sample's outer products a batch forms at once (16 N^2 per trajectory).
 _CHUNK_MEMORY_BYTES = 256_000_000
 #: Bytes of phase kicks one batch holds at once.
 _SEGMENT_BYTES = 8_000_000
@@ -78,9 +80,9 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
 def _mapped(shape: tuple, dtype) -> np.ndarray:
     """A zero-filled array in its own anonymous mapping, unmapped when released.
 
-    The noise block and the paths are an ensemble run's only large buffers.
-    Kept out of the C heap, they leave no holes there for later small
-    allocations to pin, so peak memory does not depend on heap layout.
+    The noise block is an ensemble run's only large long-lived buffer.  Kept
+    out of the C heap, it leaves no hole there for later small allocations to
+    pin, so peak memory does not depend on heap layout.
     """
     count = math.prod(shape)
     buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
@@ -96,14 +98,14 @@ def _deterministic_rhs(model: AggregateModel, kind: str):
     return lambda z: -1j * (z * eps) - 2j * (z.real @ v)
 
 
-def _strang_paths(
+def _strang_samples(
     kind: str,
     model: AggregateModel,
     z0: np.ndarray,
     grid: TimeGrid,
     streams: list[np.random.Generator],
-) -> np.ndarray:
-    """Propagate a batch from z0 of shape (N,) or (batch, N); returns (batch, n_samples, N)."""
+) -> Iterator[np.ndarray]:
+    """Step a batch from z0, (N,) or (batch, N); yields its (batch, N) amplitudes at each grid time."""
     n = model.n_sites
     batch = len(streams)
     n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
@@ -126,10 +128,9 @@ def _strang_paths(
     half_step = _expm(0.5 * h * generator)
 
     z = np.broadcast_to(np.asarray(z0, dtype=complex), (batch, n)).copy()
-    out = _mapped((batch, grid.n_samples, n), complex)
-    out[:, 0, :] = z
+    yield z
     step = 0
-    for i in range(1, grid.n_samples):
+    for _ in range(grid.n_samples - 1):
         for _ in range(n_sub):
             if step % block == 0:
                 drawn = phases[:, : min(block, n_steps - step)]
@@ -140,17 +141,16 @@ def _strang_paths(
             z = z * np.exp(-1j * phases[:, step % block, :])
             z = (z.view(float) @ half_step).view(complex)
             step += 1
-        out[:, i, :] = z
-    return out
+        yield z
 
 
 class TrajectoryEnsemble:
     """Running average of trajectory bilinears with error estimation.
 
-    Accumulates the outer product path[t] path[t]^H per sample in plain sums:
+    Accumulates the outer products z z^H of each sample time in plain sums:
     10^4 terms of size <= 1 round off by about 1e-13, far below the sampling
-    error.  The second-moment sum gives a per-entry standard error of the
-    mean (real and imaginary scatter combined).
+    error.  The second-moment sum, from the same products, gives a per-entry
+    standard error of the mean (real and imaginary scatter combined).
     """
 
     def __init__(self, grid: TimeGrid, dimension: int):
@@ -161,18 +161,29 @@ class TrajectoryEnsemble:
         self._sum = np.zeros(shape, dtype=complex)
         self._sq = np.zeros(shape)
 
-    def add_path(self, path: np.ndarray) -> None:
-        """Fold one (n_samples, N) amplitude path into the running sums."""
-        p = np.asarray(path, dtype=complex)
-        if p.shape != (self.grid.n_samples, self.dimension):
-            raise GridMismatch(
-                f"path shape {p.shape} does not match ensemble grid "
-                f"({self.grid.n_samples}, {self.dimension})"
-            )
-        outer = p[:, :, None] * p[:, None, :].conj()
-        self._sum += outer
-        self._sq += outer.real**2 + outer.imag**2
-        self.n_traj += 1
+    def add_batch(self, samples: Iterable[np.ndarray]) -> None:
+        """Fold a batch given as its (batch, N) amplitudes at each grid time, in order.
+
+        ``samples`` is the ensembles' stepping generator or a stacked
+        (n_samples, batch, N) array.  On a mismatch with the grid the ensemble
+        is left as it was.
+        """
+        sums, squares = np.zeros_like(self._sum), np.zeros_like(self._sq)
+        shape, count = None, 0
+        for z in samples:
+            z = np.asarray(z, dtype=complex)
+            shape = shape or z.shape[:1] + (self.dimension,)
+            if z.shape != shape or count == len(sums):
+                raise GridMismatch(f"sample {count} of shape {z.shape} does not fit {len(sums)} of {shape}")
+            outer = z[:, :, None] * z[:, None, :].conj()
+            outer.sum(0, out=sums[count])
+            (outer.real**2 + outer.imag**2).sum(0, out=squares[count])
+            count += 1
+        if count != len(sums):
+            raise GridMismatch(f"{count} samples do not match the ensemble grid's {len(sums)}")
+        self._sum += sums
+        self._sq += squares
+        self.n_traj += shape[0]
 
     @property
     def mean_bilinear(self) -> np.ndarray:
@@ -183,7 +194,7 @@ class TrajectoryEnsemble:
         return 0.5 * (mean + np.conj(np.swapaxes(mean, 1, 2)))
 
     def standard_error(self) -> np.ndarray:
-        """Per-entry standard error of the mean; needs at least 2 paths."""
+        """Per-entry standard error of the mean; needs at least 2 trajectories."""
         if self.n_traj < 2:
             raise ValidationError("standard error needs at least two trajectories")
         mean = self._sum / self.n_traj
@@ -203,18 +214,14 @@ def _run_ensemble(kind, model, z0, grid, noise: NoiseSpec, n_traj: int) -> Traje
         )
     if not 0.0 < float(np.vdot(z, z).real) < np.inf:
         raise ZeroState("amplitude vector has zero or non-finite norm")
-    per_traj = grid.n_samples * model.n_sites * 16
-    chunk = min(_CHUNK_TRAJECTORIES, max(1, _CHUNK_MEMORY_BYTES // per_traj))
+    chunk = min(_CHUNK_TRAJECTORIES, max(1, _CHUNK_MEMORY_BYTES // (16 * model.n_sites**2)))
     ens = TrajectoryEnsemble(grid, model.n_sites)
     for start in range(0, n_traj, chunk):
-        idx = range(start, min(start + chunk, n_traj))
-        streams = [derive_stream(noise.seed, k) for k in idx]
+        streams = [derive_stream(noise.seed, k) for k in range(start, min(start + chunk, n_traj))]
         starts = z
         if kind == "kubo":  # phase-averaged start: theta_k is stream k's first draw
             starts = z * np.exp(1j * np.array([g.uniform(0.0, 2.0 * np.pi) for g in streams]))[:, None]
-        paths = _strang_paths(kind, model, starts, grid, streams)
-        for b in range(paths.shape[0]):
-            ens.add_path(paths[b])
+        ens.add_batch(_strang_samples(kind, model, starts, grid, streams))
     return ens
 
 

@@ -112,11 +112,20 @@ class TestRun:
 
     def test_step_too_large_is_numeric_failure(self, tmp_path, capsys):
         code = run_cli("run", "--chain", "2,V=1,eps=40,gamma=1,start=0",
-                       "--engines", "lindblad", "--grid", "0:10:101",
+                       "--engines", "sse", "--ntraj", "4", "--grid", "0:10:101",
                        "--dt", "0.05", "--out", str(tmp_path))
         assert code == 1
         err = capsys.readouterr().err
-        assert "engine=lindblad" in err and "StepTooLarge" in err
+        assert "engine=sse" in err and "StepTooLarge" in err
+
+    def test_deterministic_engines_ignore_dt(self, tmp_path):
+        # they take no step: a --dt the ensembles refuse changes no byte
+        args = ("run", "--chain", "2,V=1,eps=40,gamma=1,start=0",
+                "--engines", "lindblad,classical", "--grid", "0:10:101")
+        assert run_cli(*args, "--out", str(tmp_path / "plain")) == 0
+        assert run_cli(*args, "--dt", "0.05", "--out", str(tmp_path / "dt")) == 0
+        for name in ("lindblad.csv", "classical.csv"):
+            assert (tmp_path / "dt" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_blown_up_run_is_numeric_failure(self, tmp_path, capsys):
         # the classical norm factor passes 1e269 by t = 500 and overflows
@@ -163,9 +172,8 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("engine,extra", [
-        ("lindblad", ["--grid", "0:1e308:3"]),
+        ("kubo", ["--grid", "0:1:3", "--dt", "1e-320", "--ntraj", "4"]),
         ("sse", ["--grid", "0:1e308:3", "--ntraj", "4"]),
-        ("classical", ["--grid", "0:1:3", "--dt", "1e-320"]),
     ])
     def test_uncountable_substeps_is_numeric_failure(self, tmp_path, capsys, engine, extra):
         code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
@@ -174,6 +182,17 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"eetsim: error: engine={engine} ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_lindblad_needs_no_substeps(self, tmp_path):
+        # the exact propagator takes no step: a sample spacing of 5e5 (10^8
+        # substeps under the ensembles' step rule) is one exponential, and the
+        # populations have settled
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "lindblad", "--grid", "0:1e6:3", "--out", str(tmp_path))
+        assert code == 0
+        series = read_timeseries(tmp_path / "lindblad.csv")
+        for site in (0, 1):
+            assert abs(series.channels[f"population:{site}"][-1] - 0.5) <= 1e-12
 
     def test_failed_run_leaves_out_untouched(self, tmp_path, capsys):
         # lindblad succeeds, then classical blows up: no file of this run

@@ -84,8 +84,8 @@ class TestStepRule:
             _substeps(span, dt)
 
 
-class TestRk4:
-    """expm_propagate on systems with a known solution (named for the RK4 core it first tested)."""
+class TestKnownSolutions:
+    """expm_propagate on systems with a known solution."""
 
     def test_exponential_decay(self):
         grid = TimeGrid(0.0, 3.0, 31)

@@ -17,19 +17,24 @@ from eetsim import (
 )
 from eetsim.errors import GridMismatch, ValidationError, ZeroState
 from eetsim.integrate import _substeps, resolve_step
-from eetsim.stochastic import TrajectoryEnsemble, _deterministic_rhs, _strang_paths, derive_stream
+from eetsim.stochastic import TrajectoryEnsemble, _deterministic_rhs, _strang_samples, derive_stream
+
+
+def strang_samples(kind, model, z0, grid, streams):
+    """A batch's amplitudes stacked as (n_samples, batch, N)."""
+    return np.stack(list(_strang_samples(kind, model, z0, grid, streams)))
 
 
 def one_path(kind, model, z0, grid, stream):
     """A single trajectory's (n_samples, N) amplitudes."""
-    return _strang_paths(kind, model, z0, grid, [stream])[0]
+    return strang_samples(kind, model, z0, grid, [stream])[:, 0]
 
 
 def accumulate(paths, grid):
-    """Fold amplitude paths into an ensemble, in order."""
+    """Fold amplitude paths into an ensemble one at a time, in order."""
     ens = TrajectoryEnsemble(grid, np.shape(paths[0])[1])
     for path in paths:
-        ens.add_path(path)
+        ens.add_batch(np.asarray(path)[:, None, :])
     return ens
 
 
@@ -102,12 +107,12 @@ class TestSseTrajectory:
         model = build_aggregate([0.0], np.zeros((1, 1)), [1.0])
         grid = TimeGrid(0.0, 3.0, 13)
         n_traj = 4000
-        paths = _strang_paths(
+        samples = strang_samples(
             "sse", model, np.array([1.0 + 0.0j]), grid,
             [derive_stream(5, k) for k in range(n_traj)],
         )
-        mean = paths[:, :, 0].mean(axis=0)
-        spread = paths[:, :, 0].std(axis=0) / np.sqrt(n_traj)
+        mean = samples[:, :, 0].mean(axis=1)
+        spread = samples[:, :, 0].std(axis=1) / np.sqrt(n_traj)
         expected = np.exp(-0.5 * grid.times)
         assert np.all(np.abs(np.abs(mean) - expected) <= 3.0 * spread + 1e-12)
 
@@ -151,7 +156,7 @@ class TestStrangMap:
         n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
         assert n_sub == 1
         z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])
-        got = _strang_paths(kind, model, z0, grid, [derive_stream(3, 0)])[0, 1]
+        got = strang_samples(kind, model, z0, grid, [derive_stream(3, 0)])[1, 0]
 
         generator = _deterministic_rhs(model, kind)(np.eye(6).view(complex)).view(float)
         flow = scipy.linalg.expm(0.5 * h * generator)
@@ -192,7 +197,34 @@ class TestAccumulate:
     def test_grid_mismatch(self):
         ens = accumulate([np.ones((5, 2), complex)], self.grid())
         with pytest.raises(GridMismatch):
-            ens.add_path(np.ones((4, 2), complex))
+            ens.add_batch(np.ones((4, 1, 2), complex))
+
+    @pytest.mark.parametrize("samples", [
+        np.ones((4, 3, 2), complex),  # too few samples
+        np.ones((6, 3, 2), complex),  # too many samples
+        np.ones((5, 3, 3), complex),  # wrong N
+        np.ones((5, 3), complex),  # no batch axis
+        [np.ones((3, 2), complex)] * 4 + [np.ones((2, 2), complex)],  # batch changes
+    ], ids=["few", "many", "dimension", "unbatched", "ragged"])
+    def test_mismatch_leaves_ensemble_as_it_was(self, samples):
+        ens = accumulate([np.ones((5, 2), complex)], self.grid())
+        before = ens.mean_bilinear.copy()
+        with pytest.raises(GridMismatch):
+            ens.add_batch(samples)
+        assert ens.n_traj == 1
+        assert np.array_equal(ens.mean_bilinear, before)
+
+    def test_one_batch_equals_one_at_a_time(self):
+        # the fold of a whole batch adds the trajectories in the same order as
+        # folding them one by one, so both sums agree to the last bit
+        rng = np.random.default_rng(3)
+        samples = rng.normal(size=(5, 7, 3)) + 1j * rng.normal(size=(5, 7, 3))
+        batched = TrajectoryEnsemble(self.grid(), 3)
+        batched.add_batch(samples)
+        single = accumulate(list(np.swapaxes(samples, 0, 1)), self.grid())
+        assert batched.n_traj == single.n_traj == 7
+        assert np.array_equal(batched.mean_bilinear, single.mean_bilinear)
+        assert np.array_equal(batched.standard_error(), single.standard_error())
 
     def test_standard_error_needs_two(self):
         ens = accumulate([np.ones((5, 2), complex)], self.grid())
@@ -250,7 +282,7 @@ class TestEnsembleDrivers:
 
         def paths():
             streams = [derive_stream(58, k) for k in range(6)]
-            return _strang_paths("sse", model, init.amplitudes, grid, streams)
+            return strang_samples("sse", model, init.amplitudes, grid, streams)
 
         whole = paths()
         monkeypatch.setattr(eetsim.stochastic, "_SEGMENT_BYTES", segment_bytes)
@@ -273,7 +305,7 @@ class TestEnsembleDrivers:
 
         def paths():
             streams = [Recorder(derive_stream(59, k)) for k in range(6)]
-            return _strang_paths("sse", model, init.amplitudes, grid, streams)
+            return strang_samples("sse", model, init.amplitudes, grid, streams)
 
         whole = paths()
         assert sum(shape[0] for shape in drawn) == 6 * 400
@@ -283,25 +315,45 @@ class TestEnsembleDrivers:
         assert max(shape[0] for shape in drawn) == 10
         assert sum(shape[0] for shape in drawn) == 6 * 400
 
-    def test_batch_capped_by_path_memory(self, monkeypatch):
-        # 11 samples x 2 sites x 16 bytes per path: a 700-byte budget makes
-        # batches of 1, 1, 1; the ensemble is unchanged
+    def test_batch_capped_by_fold_memory(self, monkeypatch):
+        # 2 x 2 outer products x 16 bytes per trajectory: a 100-byte budget
+        # makes batches of 1, 1, 1; the ensemble is unchanged
         model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
         grid = TimeGrid(0.0, 2.0, 11)
         noise = NoiseSpec(gamma=model.gamma, seed=61)
         whole = run_sse_ensemble(model, init.amplitudes, grid, noise, n_traj=3)
         batches = []
-        strang = eetsim.stochastic._strang_paths
+        strang = eetsim.stochastic._strang_samples
 
         def recorded(kind, model, z0, grid, streams):
             batches.append(len(streams))
             return strang(kind, model, z0, grid, streams)
 
-        monkeypatch.setattr(eetsim.stochastic, "_strang_paths", recorded)
-        monkeypatch.setattr(eetsim.stochastic, "_CHUNK_MEMORY_BYTES", 700)
+        monkeypatch.setattr(eetsim.stochastic, "_strang_samples", recorded)
+        monkeypatch.setattr(eetsim.stochastic, "_CHUNK_MEMORY_BYTES", 100)
         capped = run_sse_ensemble(model, init.amplitudes, grid, noise, n_traj=3)
         assert batches == [1, 1, 1]
         assert np.abs(capped.mean_bilinear - whole.mean_bilinear).max() < 1e-12
+
+    @pytest.mark.parametrize("run", [run_sse_ensemble, run_kubo_ensemble])
+    def test_no_buffer_spans_the_samples(self, monkeypatch, run):
+        # 10 intervals of 40 substeps, batches of 3, 3 and 1: each batch maps
+        # only its (batch, 400 substeps, 2 sites) noise block, no buffer with
+        # a sample axis
+        model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
+        grid = TimeGrid(0.0, 2.0, 11)
+        noise = NoiseSpec(gamma=model.gamma, seed=62)
+        shapes = []
+        mapped = eetsim.stochastic._mapped
+
+        def recorded(shape, dtype):
+            shapes.append(tuple(shape))
+            return mapped(shape, dtype)
+
+        monkeypatch.setattr(eetsim.stochastic, "_mapped", recorded)
+        monkeypatch.setattr(eetsim.stochastic, "_CHUNK_TRAJECTORIES", 3)
+        run(model, init.amplitudes, grid, noise, n_traj=7)
+        assert shapes == [(3, 400, 2), (3, 400, 2), (1, 400, 2)]
 
     def test_reruns_bit_identical(self):
         model, init = make_chain(2, 1.0, 2.0, 0.8, 0)

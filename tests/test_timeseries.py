@@ -139,7 +139,7 @@ class TestFileRoundTrip:
 def test_ensemble_trace_collapse_is_norm_collapse():
     grid = TimeGrid(0.0, 1.0, 3)
     ens = TrajectoryEnsemble(grid, 2)
-    ens.add_path(np.zeros((3, 2)))
+    ens.add_batch(np.zeros((3, 1, 2)))
     with pytest.raises(NormCollapse):
         series_from_ensemble(ens, "kubo-ensemble", normalize=True)
 
