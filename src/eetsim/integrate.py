@@ -11,7 +11,9 @@ does not depend on a step size, and reruns are bit-reproducible.
 
 Tolerance: the dense map is exact to rounding, about 1e-16 times the norm of
 L spacing; each accepted Krylov step has an estimated error of at most 1e-12
-times the norm of the state it starts from.
+times the norm of the state it starts from, by Saad's phi_1 estimate, checked
+from the basis size the previous step needed.  That estimate does not
+underflow on a long interval, so a collapsed step is no longer accepted.
 
 The step rule serves only the stochastic engines, whose Strang splitting
 needs a step: the uniform sample spacing splits into n_sub equal substeps h,
@@ -49,7 +51,7 @@ _TAYLOR_BLOCKS = np.array(
     [0.0] + [1.0 / math.factorial(k) for k in range(1, _TAYLOR_DEGREE + 1)]
     + [0.0] * (-(_TAYLOR_DEGREE + 1) % _TAYLOR_POWERS)
 ).reshape(-1, _TAYLOR_POWERS)
-#: A Krylov step is accepted when Saad's error estimate is at most this times
+#: A Krylov step is accepted when its phi_1 error estimate is at most this times
 #: the norm of the state; its basis grows to at most _KRYLOV_MAX_DIM vectors.
 _KRYLOV_TOL = 1e-12
 _KRYLOV_MAX_DIM = 30
@@ -169,21 +171,27 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _krylov_flow(rhs, y: np.ndarray, span: float, basis: np.ndarray, hess: np.ndarray) -> np.ndarray:
+def _krylov_flow(rhs, y: np.ndarray, span: float, basis: np.ndarray, hess: np.ndarray,
+                 aug: np.ndarray, check_from: int) -> tuple[np.ndarray, int]:
     """e^{L span} y by Arnoldi steps, with ``rhs`` as the product L v.
 
     Each step builds an orthonormal basis of {y, L y, ..., L^{m-1} y} by
     classical Gram-Schmidt applied twice (CGS2), and takes y <- beta V_m
-    e^{tau H_m} e_1 with beta = |y|.  It is accepted once Saad's estimate
-    beta h_{m+1,m} tau |[e^{tau H_m}]_{m,1}| is at most _KRYLOV_TOL beta; at m
-    = _KRYLOV_MAX_DIM, tau is halved on the same basis until it is.  ``basis``
-    and ``hess`` are reused workspaces.
+    e^{tau H_m} e_1 with beta = |y|.  The exponential of [[tau H_m, e_1], [0,
+    0]] holds it in column 0 and phi_1(tau H_m) e_1 in column m, and the step
+    is accepted once Saad's corrected estimate beta h_{m+1,m} tau
+    |[phi_1(tau H_m) e_1]_m| is at most _KRYLOV_TOL beta; phi_1 decays only
+    like 1 / (tau |H_m|) where e^{tau H_m} e_1 underflows.  The estimate is
+    checked at each m from ``check_from`` (the size the previous step needed),
+    at a breakdown, and at m = _KRYLOV_MAX_DIM, where tau is halved on the same
+    basis until it passes.  ``basis``, ``hess`` and ``aug`` are reused
+    workspaces.  Returns the new state and its last step's basis size.
     """
     remaining = span
     while remaining > 0.0:
         beta = float(np.linalg.norm(y))
         if beta == 0.0:
-            return y
+            return y, check_from
         if not math.isfinite(beta):
             raise EetsimError("state is not finite")
         np.divide(y, beta, out=basis[0])
@@ -197,16 +205,22 @@ def _krylov_flow(rhs, y: np.ndarray, span: float, basis: np.ndarray, hess: np.nd
             w -= again @ done
             hess[: j + 1, j] = coeffs + again
             hess[j + 1, j] = norm = float(np.linalg.norm(w))
-            flow = _expm(tau * hess[: j + 1, : j + 1])
-            if norm * tau * abs(flow[j, 0]) <= _KRYLOV_TOL or j + 1 == _KRYLOV_MAX_DIM:
-                break
+            if j + 1 >= check_from or norm == 0.0 or j + 1 == _KRYLOV_MAX_DIM:
+                aug[: j + 2, : j + 2] = 0.0
+                np.multiply(hess[: j + 1, : j + 1], tau, out=aug[: j + 1, : j + 1])
+                aug[0, j + 1] = 1.0
+                flow = _expm(aug[: j + 2, : j + 2])
+                if norm * tau * abs(flow[j, j + 1]) <= _KRYLOV_TOL or j + 1 == _KRYLOV_MAX_DIM:
+                    break
             np.divide(w, norm, out=basis[j + 1])
-        while norm * tau * abs(flow[j, 0]) > _KRYLOV_TOL:
+        while norm * tau * abs(flow[j, j + 1]) > _KRYLOV_TOL:
             tau *= 0.5
-            flow = _expm(tau * hess[: j + 1, : j + 1])
-        y = beta * (flow[:, 0] @ done)
+            aug[: j + 1, : j + 1] *= 0.5
+            flow = _expm(aug[: j + 2, : j + 2])
+        y = beta * (flow[: j + 1, 0] @ done)
         remaining -= tau
-    return y
+        check_from = j + 1
+    return y, check_from
 
 
 def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -232,6 +246,8 @@ def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
             return out
         basis = np.empty((_KRYLOV_MAX_DIM, y.size))
         hess = np.zeros((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM))
+        aug = np.empty((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM + 1))
+        check_from = 1
         for i in range(1, grid.n_samples):
-            out[i] = _krylov_flow(rhs, out[i - 1], grid.spacing, basis, hess)
+            out[i], check_from = _krylov_flow(rhs, out[i - 1], grid.spacing, basis, hess, aug, check_from)
     return out

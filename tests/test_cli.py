@@ -242,6 +242,20 @@ class TestRun:
         trace = series.channels["population:0"] + series.channels["population:1"]
         assert np.abs(trace - 1.0).max() <= 1e-8
 
+    def test_long_intervals_large_system(self, tmp_path):
+        # intervals of 500 on the 29-site chain take Krylov steps with tau |H|
+        # in the hundreds; the run relaxes to the uniform population, and its
+        # slowest mode (rate 0.0238) has decayed to about 5e-7 by t = 500 and
+        # 3e-12 by t = 1000
+        code = run_cli("run", "--chain", "29,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "lindblad", "--grid", "0:1000:3", "--out", str(tmp_path))
+        assert code == 0
+        series = read_timeseries(tmp_path / "lindblad.csv")
+        pops = np.array([series.channels[f"population:{i}"] for i in range(29)])
+        assert np.abs(pops.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(pops[:, 1] - 1.0 / 29).max() <= 1e-6
+        assert np.abs(pops[:, 2] - 1.0 / 29).max() <= 1e-11
+
     def test_mixed_initial_rejects_sse(self, tmp_path):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(MIXED_DIMER))

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import eetsim.integrate
-from eetsim import build_aggregate, initial_rst_pure, load_model, fmo_model_path
+from eetsim import build_aggregate, initial_rst_pure, load_model, fmo_model_path, make_chain
 from eetsim.classical import _rst_rhs
 from eetsim.errors import EetsimError, StepTooLarge, ValidationError
 from eetsim.integrate import (
@@ -15,6 +15,14 @@ from eetsim.integrate import (
     resolve_step,
 )
 from eetsim.quantum import _lindblad_rhs, _pack_density
+
+
+def _chain_engine(n_sites, epsilon, engine):
+    """Derivative callback and initial flat state of an engine on a chain with V = gamma = 1."""
+    model, init = make_chain(n_sites, 1.0, epsilon, 1.0, 0)
+    if engine == "lindblad":
+        return _lindblad_rhs(model), _pack_density(init.rho.data)
+    return _rst_rhs(model, quantum=False), initial_rst_pure(init.amplitudes).pack()
 
 
 class TestTimeGrid:
@@ -177,6 +185,38 @@ class TestKrylov:
         for t, y in zip(grid.times, out):
             exact = scipy.linalg.expm(a * t) @ y0
             assert np.abs(y - exact).max() <= 1e-10 * np.abs(y0).max()
+
+    @pytest.mark.parametrize("engine, epsilon, t_end", [("lindblad", 1.0, 1000.0), ("classical", 40.0, 100.0)])
+    def test_long_interval_matches_dense(self, monkeypatch, engine, epsilon, t_end):
+        # tau |H_m| in the hundreds: the last entry of e^{tau H_m} e_1
+        # underflows, so an estimate taken from it passes a collapsed
+        # two-vector step; the phi_1 estimate does not underflow
+        rhs, y0 = _chain_engine(5 if engine == "lindblad" else 8, epsilon, engine)
+        grid = TimeGrid(0.0, t_end, 3)
+        dense = expm_propagate(rhs, y0, grid)
+        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        krylov = expm_propagate(rhs, y0, grid)
+        assert np.abs(krylov - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("engine", ["lindblad", "classical"])
+    @pytest.mark.parametrize("epsilon", [40.0, 1.0])
+    def test_one_exponential_per_step(self, monkeypatch, engine, epsilon):
+        # the estimate is checked from the basis size the previous step
+        # needed, so the basis grows past it (one more exponential per
+        # vector) at most _KRYLOV_MAX_DIM times over the whole run
+        rhs, y0 = _chain_engine(8, epsilon, engine)
+        calls = []
+        expm = eetsim.integrate._expm
+
+        def counted(a):
+            calls.append(None)
+            return expm(a)
+
+        monkeypatch.setattr(eetsim.integrate, "_expm", counted)
+        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        grid = TimeGrid(0.0, 10.0, 201)
+        expm_propagate(rhs, y0, grid)
+        assert len(calls) <= grid.n_samples - 1 + eetsim.integrate._KRYLOV_MAX_DIM
 
 
 class TestDenseOrCallback:
