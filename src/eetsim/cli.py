@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", default="0:10:201", help="t_start:t_end:n_samples")
     run.add_argument("--dt", type=float, default=None,
                      help="substep of the sse and kubo ensembles, which refuse one too coarse for the "
-                          "model's fastest rate; the other engines take no step")
+                          "model's splitting rate (the eps spread, gamma and 2|V|); the other "
+                          "engines take no step")
     run.add_argument("--ntraj", type=int, default=DEFAULT_NTRAJ, help="ensemble size")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed for ensembles")
     run.add_argument("--format", default="csv", help="csv or json")

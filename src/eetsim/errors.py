@@ -42,7 +42,7 @@ class IndexOutOfRange(ValidationError):
 
 
 class StepTooLarge(EetsimError):
-    """Integration step too coarse for the model's fastest scale."""
+    """Ensemble substep too coarse for the model's splitting rate."""
 
 
 class NormCollapse(EetsimError):

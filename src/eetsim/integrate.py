@@ -17,8 +17,10 @@ underflow on a long interval, so a collapsed step is no longer accepted.
 
 The step rule serves only the stochastic engines, whose Strang splitting
 needs a step: the uniform sample spacing splits into n_sub equal substeps h,
-and each deterministic half step is the exact flow e^{L h/2} from
-:func:`_expm`.  The deterministic engines take no step and ignore the rule.
+the step following the splitting rate of :func:`rate_scale` (the spread of
+eps, gamma and 2 |V|, not |eps| itself), and the deterministic flows between
+the kicks are exact maps from :func:`_expm`.  The deterministic engines take
+no step and ignore the rule.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 from .errors import EetsimError, StepTooLarge, ValidationError
 from .model import AggregateModel
 
-#: A step is refused when dt * fastest-rate exceeds this.
+#: A step is refused when dt times the splitting rate of rate_scale exceeds this.
 STEP_GUARD = 0.1
-#: Default step resolves the fastest phase with 100 steps per radian.
+#: Default step resolves the splitting rate with 100 steps per radian.
 DEFAULT_STEP_FACTOR = 0.01
 #: Up to this flat dimension expm_propagate forms the dense interval map;
 #: beyond it the D probes and D x D products cost more than Krylov steps, and
@@ -62,7 +64,7 @@ class TimeGrid:
     """Uniform output grid plus an optional internal integration step.
 
     ``dt_integrate`` is the upper bound on the stochastic engines' substep;
-    when left ``None`` it is derived from the model's fastest rate.  The
+    when left ``None`` it is derived from the model's splitting rate.  The
     deterministic engines take no step and ignore it.
     """
 
@@ -96,9 +98,17 @@ class TimeGrid:
 
 
 def rate_scale(model: AggregateModel) -> float:
-    """Fastest rate in the model: max of |eps|, gamma, and 2 |V| (hbar = 1)."""
+    """Splitting rate of the ensembles' Strang step: max of the eps spread, gamma and 2 |V| (hbar = 1).
+
+    The on-site rotation e^{-i eps t} is diagonal, as the phase kicks are, and
+    commutes with them, so only differences of eps enter the splitting's
+    nested commutators: a uniform eps sets no rate.  A spread that overflows
+    is infinite, and :func:`resolve_step` refuses it.
+    """
     vmax = float(np.abs(model.coupling).max()) if model.coupling.size else 0.0
-    return max(float(np.abs(model.epsilon).max()), float(model.gamma.max()), 2.0 * vmax)
+    with np.errstate(over="ignore"):
+        spread = float(np.ptp(model.epsilon))
+    return max(spread, float(model.gamma.max()), 2.0 * vmax)
 
 
 def resolve_step(model: AggregateModel, grid: TimeGrid) -> float:
@@ -112,7 +122,7 @@ def resolve_step(model: AggregateModel, grid: TimeGrid) -> float:
         dt = grid.spacing
     if not dt * scale <= STEP_GUARD * (1.0 + 1e-9):  # also an overflowing rate: 0 * inf
         raise StepTooLarge(
-            f"dt_integrate {dt:.3e} times fastest rate {scale:.3e} exceeds {STEP_GUARD}"
+            f"dt_integrate {dt:.3e} times splitting rate {scale:.3e} exceeds {STEP_GUARD}"
         )
     return dt
 

@@ -6,12 +6,15 @@ white-noise modulation of each site frequency.  A trajectory is integrated
 with Strang splitting: the exact deterministic flow over half a step, an
 exactly unitary per-site phase kick with variance gamma * h, and the second
 deterministic half step.  Every sample interval takes the n_sub substeps of
-width h of the step rule in :mod:`eetsim.integrate`.  The kick average
-reproduces the dephasing functional exactly per step, so no separate
-noise-induced drift term is (or may be) added.  The deterministic part is
-linear, so each half step is applied as one precomputed real 2N x 2N matrix
-e^{G h/2} on the (re, im) view of the amplitudes, the same map for every
-substep and every trajectory of a batch.  A batch is folded into the
+width h of the step rule in :mod:`eetsim.integrate`, whose step follows the
+spread of eps, gamma and 2 |V|: the on-site rotation commutes with the kicks,
+so a uniform eps does not narrow it.  The kick average reproduces the
+dephasing functional exactly per step, so no separate noise-induced drift
+term is (or may be) added.  The deterministic part is linear, so its flows
+are precomputed real 2N x 2N matrices on the (re, im) view of the amplitudes,
+the same maps for every substep and every trajectory of a batch.  Exact flows
+compose, so an interval is e^{G h/2} K_1 e^{G h} K_2 ... e^{G h} K_n e^{G h/2}:
+one product per kick, and one more per sample.  A batch is folded into the
 ensemble sums at each sample time as it steps; no path is stored.
 
 Reproducibility contract: the stream for trajectory ``k`` is derived from
@@ -123,12 +126,18 @@ def _strang_samples(
     # The deterministic part is real-linear in the interleaved (re, im) view
     # of z.  Row j of ``generator`` is the derivative of the j-th real basis
     # vector (which also captures Kubo's Re(z) coupling), so a batch of rows
-    # advances by the exact half step as y @ e^{G h/2}, G being that matrix.
+    # advances by the exact flow over t as y @ e^{G t}, G being that matrix.
     generator = _deterministic_rhs(model, kind)(np.eye(2 * n).view(complex)).view(float)
     half_step = _expm(0.5 * h * generator)
+    full_step = _expm(h * generator)
 
+    # Exact flows compose, so the two half steps between adjacent kicks are one
+    # e^{G h}: z is kept just past its last kick, the first kick is preceded by
+    # a half step and every later one by a full step, and each sample is z
+    # carried the remaining half step to the grid time.
     z = np.broadcast_to(np.asarray(z0, dtype=complex), (batch, n)).copy()
     yield z
+    flow = half_step
     step = 0
     for _ in range(grid.n_samples - 1):
         for _ in range(n_sub):
@@ -137,11 +146,11 @@ def _strang_samples(
                 for b, gen in enumerate(streams):
                     gen.standard_normal(drawn.shape[1:], out=drawn[b])
                 drawn *= widths[: drawn.shape[1]]
-            z = (z.view(float) @ half_step).view(complex)
-            z = z * np.exp(-1j * phases[:, step % block, :])
-            z = (z.view(float) @ half_step).view(complex)
+            z = (z.view(float) @ flow).view(complex)
+            z *= np.exp(-1j * phases[:, step % block, :])
+            flow = full_step
             step += 1
-        yield z
+        yield (z.view(float) @ half_step).view(complex)
 
 
 class TrajectoryEnsemble:

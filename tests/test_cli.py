@@ -113,10 +113,25 @@ class TestRun:
     def test_step_too_large_is_numeric_failure(self, tmp_path, capsys):
         code = run_cli("run", "--chain", "2,V=1,eps=40,gamma=1,start=0",
                        "--engines", "sse", "--ntraj", "4", "--grid", "0:10:101",
-                       "--dt", "0.05", "--out", str(tmp_path))
+                       "--dt", "0.1", "--out", str(tmp_path))
         assert code == 1
         err = capsys.readouterr().err
         assert "engine=sse" in err and "StepTooLarge" in err
+
+    def test_overflowing_eps_spread_is_numeric_failure(self, tmp_path, capsys):
+        # eps = +-1e308: the spread overflows, and the run is refused with no numpy warning
+        doc = dict(PURE_DIMER, sites=[{"label": "a", "energy": 1e308}, {"label": "b", "energy": -1e308}])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "--model", str(path), "--engines", "kubo", "--grid", "0:1:3",
+                           "--ntraj", "4", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("eetsim: error: engine=kubo StepTooLarge")
+        assert not out.exists()
 
     def test_deterministic_engines_ignore_dt(self, tmp_path):
         # they take no step: a --dt the ensembles refuse changes no byte

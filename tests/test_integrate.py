@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -57,12 +59,16 @@ class TestTimeGrid:
 class TestStepRule:
     def test_rate_scale(self):
         model = build_aggregate([3.0, -5.0], [[0.0, 2.0], [2.0, 0.0]], [1.0, 0.5])
-        assert rate_scale(model) == 5.0  # max(|eps|=5, gamma=1, 2V=4)
+        assert rate_scale(model) == 8.0  # max(ptp eps=8, gamma=1, 2V=4)
 
     def test_default_step(self):
-        model = build_aggregate([10.0, 10.0], np.zeros((2, 2)), [0.0, 0.0])
         grid = TimeGrid(0.0, 10.0, 101)
+        model = build_aggregate([10.0, 0.0], np.zeros((2, 2)), [0.0, 0.0])
         assert np.isclose(resolve_step(model, grid), 0.001)
+        # the on-site rotation commutes with the kicks: with V = gamma = 0 a
+        # uniform eps sets no rate, and the step is the spacing
+        model = build_aggregate([10.0, 10.0], np.zeros((2, 2)), [0.0, 0.0])
+        assert resolve_step(model, grid) == grid.spacing
 
     def test_zero_scale_uses_spacing(self):
         model = build_aggregate([0.0, 0.0], np.zeros((2, 2)), [0.0, 0.0])
@@ -71,7 +77,7 @@ class TestStepRule:
 
     def test_guard_refuses_coarse_step(self):
         model = build_aggregate([40.0, 40.0], [[0, 1], [1, 0]], [1.0, 1.0])
-        grid = TimeGrid(0.0, 10.0, 101, dt_integrate=0.05)
+        grid = TimeGrid(0.0, 10.0, 101, dt_integrate=0.1)
         with pytest.raises(StepTooLarge):
             resolve_step(model, grid)
 
@@ -80,6 +86,16 @@ class TestStepRule:
         model = build_aggregate([1.0, 1.0], [[0.0, 1e308], [1e308, 0.0]], [0.0, 0.0])
         with pytest.raises(StepTooLarge):
             resolve_step(model, TimeGrid(0.0, 1.0, 3))
+
+    def test_overflowing_spread_refused(self):
+        # ptp(eps) = 2e308 overflows to inf: refused like an overflowing V,
+        # with no numpy warning
+        model = build_aggregate([1e308, -1e308], np.zeros((2, 2)), [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rate_scale(model) == np.inf
+            with pytest.raises(StepTooLarge):
+                resolve_step(model, TimeGrid(0.0, 1.0, 3))
 
     def test_substep_plan_covers_intervals(self):
         grid = TimeGrid(0.0, 1.0, 5)

@@ -168,6 +168,106 @@ class TestStrangMap:
         expected = half_step(half_step(z0) * kick)
         assert np.abs(got - expected).max() <= 1e-14
 
+    @pytest.mark.parametrize("kind", ["sse", "kubo"])
+    def test_interval_equals_merged_exact_flows(self, kind):
+        # three substeps: e^{G h/2} K_1 e^{G h} K_2 e^{G h} K_3 e^{G h/2}, the
+        # interior half steps merged, each flow scipy's exponential of the
+        # probed real 2N x 2N generator
+        model, _ = make_chain(3, 1.0, 2.0, 0.8, 0)
+        grid = TimeGrid(0.0, 0.012, 2)
+        n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
+        assert n_sub == 3
+        z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])
+        got = strang_samples(kind, model, z0, grid, [derive_stream(3, 0)])[1, 0]
+
+        generator = _deterministic_rhs(model, kind)(np.eye(6).view(complex)).view(float)
+        half, full = scipy.linalg.expm(0.5 * h * generator), scipy.linalg.expm(h * generator)
+
+        def flow(z, m):
+            return (z.view(float) @ m).view(complex)
+
+        kicks = np.exp(-1j * np.sqrt(h * model.gamma) * derive_stream(3, 0).standard_normal((3, 3)))
+        z = flow(z0, half) * kicks[0]
+        for kick in kicks[1:]:
+            z = flow(z, full) * kick
+        assert np.abs(got - flow(z, half)).max() <= 1e-14
+
+
+def strang_second_moment(kind, model, y0, grid):
+    """Exact ensemble mean of z z^H under the Strang scheme at each grid time, with no sampling.
+
+    The state is Y = E[y^T y] of the interleaved (re, im) row y of z, started
+    from ``y0`` (2N x 2N).  A flow y <- y M maps Y to M^T Y M.  A kick rotates
+    site n's (re, im) pair by an angle of variance gamma_n h, whose mean
+    factor is e^{-gamma_n h / 2} and whose double-angle factor is
+    e^{-2 gamma_n h}: the kick average scales the off-diagonal site blocks by
+    e^{-(gamma_n + gamma_m) h / 2} and each diagonal block's traceless part
+    by e^{-2 gamma_n h}.  Each substep is half flow, kick average, half flow.
+    """
+    n = model.n_sites
+    n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
+    generator = _deterministic_rhs(model, kind)(np.eye(2 * n).view(complex)).view(float)
+    half = scipy.linalg.expm(0.5 * h * generator)
+    decay = np.repeat(np.exp(-0.5 * h * model.gamma), 2)
+    off_diagonal = np.outer(decay, decay)
+    traceless = np.exp(-2.0 * h * model.gamma)
+
+    def kick_average(y):
+        blocks = [y[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(n)]
+        y = y * off_diagonal
+        for k, block in enumerate(blocks):
+            mean = 0.5 * np.trace(block) * np.eye(2)
+            y[2 * k:2 * k + 2, 2 * k:2 * k + 2] = mean + traceless[k] * (block - mean)
+        return y
+
+    y = np.array(y0, dtype=float)
+    out = [y]
+    for _ in range(grid.n_samples - 1):
+        for _ in range(n_sub):
+            y = half.T @ kick_average(half.T @ y @ half) @ half
+        out.append(y)
+    out = np.array(out)
+    re, im = out[:, 0::2], out[:, 1::2]
+    return re[:, :, 0::2] + im[:, :, 1::2] + 1j * (im[:, :, 0::2] - re[:, :, 1::2])
+
+
+def bias_cases():
+    """Dimers at eps = 10 and 40, and a 6-chain at eps = 10 with site disorder of sd = 3 and 10 V."""
+    dimers = [make_chain(2, 1.0, eps, 1.0, 0) for eps in (10.0, 40.0)]
+    model, init = make_chain(6, 1.0, 10.0, 1.0, 0)
+    disorder = np.random.default_rng(5).normal(size=6)
+    chains = [
+        (build_aggregate(model.epsilon + sd * disorder, model.coupling, model.gamma), init)
+        for sd in (3.0, 10.0)
+    ]
+    return dimers + chains
+
+
+class TestStrangBias:
+    """The splitting's bias at the default step, computed exactly: the second
+    moment the ensembles estimate against the master equations they unravel.
+    At sd = 10 one site energy is negative and the Kubo sigma grows to a
+    trace of about 250."""
+
+    @pytest.mark.parametrize("model,init", bias_cases(),
+                             ids=["dimer-eps10", "dimer-eps40", "chain6-sd3", "chain6-sd10"])
+    @pytest.mark.parametrize("kind", ["sse", "kubo"])
+    def test_bias_below_bound(self, kind, model, init):
+        grid = TimeGrid(0.0, 5.0, 101)
+        y0 = init.amplitudes.astype(complex).view(float)
+        if kind == "sse":
+            exact = propagate_lindblad(model, init.rho, grid).rho
+            moment = strang_second_moment(kind, model, np.outer(y0, y0), grid)
+        else:
+            # the phase-averaged start: the average over theta in {0, pi/2}
+            # keeps exactly the part of y0^T y0 that is invariant under a
+            # global phase rotation
+            y1 = (1j * init.amplitudes.astype(complex)).view(float)
+            rst = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid)
+            exact = assemble_sigma(rst.states)
+            moment = strang_second_moment(kind, model, 0.5 * (np.outer(y0, y0) + np.outer(y1, y1)), grid)
+        assert np.abs(moment - exact).max() < 1e-5
+
 
 class TestAccumulate:
     def grid(self):
