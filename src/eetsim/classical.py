@@ -12,9 +12,11 @@ with G_ab = (gamma_a + gamma_b) / 2 over both blocks and J_n = [[0, 1],
 [-1, 0]] on site n's (x_n, p_n): the exact Ito covariation of the site
 frequency noise.  The quantum drift is A_q = [[0, H], [-H, 0]], H = diag(eps)
 + V; the classical drift adds [[0, -V], [-V, 0]], the counter-rotating
--i V z* term that the realistic coupling approximation neglects.  sigma_nm =
-<z_n z*_m>, a density matrix after trace normalization, is assembled from the
-whole (n_samples, N, N) moment stack at once as
+-i V z* term that the realistic coupling approximation neglects.  The
+trajectory ensembles of :mod:`eetsim.stochastic` take their noise-free flows
+from the same drift A.  sigma_nm = <z_n z*_m>, a density matrix after trace
+normalization, is assembled from the whole (n_samples, N, N) moment stack at
+once as
 
     sigma_nm = R_nm + S_nm + i (T_mn - T_nm).
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormCollapse, ValidationError, ZeroState
 from .integrate import TimeGrid, expm_propagate
-from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack
+from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack, _drift
 
 _SYMMETRY_TOL = 1e-12
 
@@ -180,15 +182,9 @@ class ClassicalTrajectory:
 
 
 def _rst_rhs(model: AggregateModel, quantum: bool):
-    """Derivative callback for the packed moment state: the Lyapunov equation above.
-
-    The variants differ only by the drift's counter-rotating term.
-    """
+    """Derivative callback for the packed moment state: the Lyapunov equation above."""
     n = model.n_sites
-    v = model.coupling
-    drift = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.diag(model.epsilon) + v)  # A_q = [[0, H], [-H, 0]]
-    if not quantum:
-        drift -= np.kron([[0.0, 1.0], [1.0, 0.0]], v)  # Delta A = [[0, -V], [-V, 0]]
+    drift = _drift(model, quantum)
     gamma = np.concatenate([model.gamma, model.gamma])
     damping = 0.5 * (gamma[:, None] + gamma[None, :])
     # gamma_n J_n M J_n^T lives on site n's four entries: (x, x) <- S_nn,

@@ -205,7 +205,7 @@ def cmd_run(args) -> int:
                 # A blown-up run is reported by the engine's checks, not by numpy warnings.
                 with np.errstate(over="ignore", invalid="ignore"):
                     series = _run_one_engine(engine, model, initial, grid, chain, args)
-            except EetsimError as exc:
+            except (EetsimError, MemoryError) as exc:
                 return _fail_numeric(engine, exc)
             written.append(destination)
             write_timeseries(series, args.format, destination)

@@ -4,23 +4,23 @@ Every engine packs its state into one flat real vector (2 N^2 reals for a
 density matrix, N (2N + 1) for the symmetric second-moment matrix) and
 supplies a linear derivative callback y' = L y.  L is autonomous, so each
 sample interval is exactly y <- e^{L spacing} y, and :func:`expm_propagate`
-computes that product: small systems probe L once and form the dense
-interval map by scaling and squaring (:func:`_expm`); large systems take
-Krylov steps with the callback as the matrix-vector product.  The result
-does not depend on a step size, and reruns are bit-reproducible.
+computes that product: systems up to ``_DENSE_MAX_DIM`` probe L once and
+form the dense interval map by scaling and squaring (:func:`_expm`); larger
+ones take Krylov steps with the callback as the matrix-vector product.  The
+result does not depend on a step size, and reruns are bit-reproducible.
 
 Tolerance: the dense map is exact to rounding, about 1e-16 times the norm of
 L spacing; each accepted Krylov step has an estimated error of at most 1e-12
 times the norm of the state it starts from, by Saad's phi_1 estimate, checked
 from the basis size the previous step needed.  That estimate does not
-underflow on a long interval, so a collapsed step is no longer accepted.
+underflow on a long interval, so a collapsed step is not accepted.
 
 The step rule serves only the stochastic engines, whose Strang splitting
 needs a step: the uniform sample spacing splits into n_sub equal substeps h,
 the step following the splitting rate of :func:`rate_scale` (the spread of
 eps, gamma and 2 |V|, not |eps| itself), and the deterministic flows between
-the kicks are exact maps from :func:`_expm`.  The deterministic engines take
-no step and ignore the rule.
+the kicks are exact maps from :func:`_expm` of the model's drift.  The
+deterministic engines take no step and ignore the rule.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ DEFAULT_STEP_FACTOR = 0.01
 #: Up to this flat dimension expm_propagate forms the dense interval map;
 #: beyond it the D probes and D x D products cost more than Krylov steps, and
 #: one D x D matrix would dominate the run's memory.
-_LINEARIZE_MAX_DIM = 600
+_DENSE_MAX_DIM = 600
 #: _expm's Taylor degree, the 1-norm its scaled argument is brought to, and
 #: the powers X, ..., X^_TAYLOR_POWERS its Paterson-Stockmeyer form keeps.
 _TAYLOR_DEGREE = 18
@@ -236,7 +236,7 @@ def _krylov_flow(rhs, y: np.ndarray, span: float, basis: np.ndarray, hess: np.nd
 def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Exact flow y <- e^{L spacing} y of a linear autonomous derivative ``rhs``, at every grid time.
 
-    Up to ``_LINEARIZE_MAX_DIM`` the callback is probed once per basis vector,
+    Up to ``_DENSE_MAX_DIM`` the callback is probed once per basis vector,
     the interval map e^{L spacing} is formed once and each sample is one
     product with it; beyond it every interval takes the Krylov steps of
     :func:`_krylov_flow`.  Returns an array of shape (n_samples, len(y0)).
@@ -247,7 +247,7 @@ def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     # non-finite values are refused by _expm, _krylov_flow and the engines'
     # stack checks, never reported as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if y.size <= _LINEARIZE_MAX_DIM:
+        if y.size <= _DENSE_MAX_DIM:
             generator = np.column_stack([rhs(e) for e in np.eye(y.size)])
             generator *= grid.spacing
             interval = _expm(generator)

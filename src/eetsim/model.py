@@ -146,6 +146,18 @@ def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V")
     return AggregateModel(epsilon=eps, coupling=v, gamma=gam, units=units)
 
 
+def _drift(model: AggregateModel, quantum: bool) -> np.ndarray:
+    """Noise-free drift A of u = (x, p), z = x + i p: u' = A u (see :mod:`eetsim.classical`).
+
+    A_q = [[0, H], [-H, 0]], H = diag(eps) + V, is z' = -i H z; the classical
+    drift adds [[0, -V], [-V, 0]], the counter-rotating -i V z*.
+    """
+    drift = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.diag(model.epsilon) + model.coupling)
+    if not quantum:
+        drift -= np.kron([[0.0, 1.0], [1.0, 0.0]], model.coupling)
+    return drift
+
+
 def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
     """Validate a (..., N, N) stack of density matrices and make it read-only.
 
@@ -215,6 +227,8 @@ class DensityMatrix:
 def pure_density(amplitudes) -> DensityMatrix:
     """Density matrix |c><c| of a normalized amplitude vector."""
     c = np.asarray(amplitudes, dtype=complex)
+    if c.ndim != 1:
+        raise DimensionMismatch("amplitude vector must be one-dimensional")
     norm = float(np.vdot(c, c).real)
     if not 0.0 < norm < np.inf:
         raise ValidationError("amplitude vector has zero or non-finite norm")

@@ -10,12 +10,12 @@ width h of the step rule in :mod:`eetsim.integrate`, whose step follows the
 spread of eps, gamma and 2 |V|: the on-site rotation commutes with the kicks,
 so a uniform eps does not narrow it.  The kick average reproduces the
 dephasing functional exactly per step, so no separate noise-induced drift
-term is (or may be) added.  The deterministic part is linear, so its flows
-are precomputed real 2N x 2N matrices on the (re, im) view of the amplitudes,
-the same maps for every substep and every trajectory of a batch.  Exact flows
-compose, so an interval is e^{G h/2} K_1 e^{G h} K_2 ... e^{G h} K_n e^{G h/2}:
-one product per kick, and one more per sample.  A batch is folded into the
-ensemble sums at each sample time as it steps; no path is stored.
+term is (or may be) added.  The deterministic part is the drift A of the
+moment equation in :mod:`eetsim.classical`; its flows e^{G t}, G being A on
+the (re, im) view of z, serve every substep and trajectory of a batch.  Exact
+flows compose, so an interval is e^{G h/2} K_1 e^{G h} ... e^{G h} K_n
+e^{G h/2}: one product per kick, and one more per sample.  A batch is folded
+into the ensemble sums at each sample time as it steps; no path is stored.
 
 Reproducibility contract: the stream for trajectory ``k`` is derived from
 ``(master_seed, k)`` alone through a counter-based generator, and every
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, ValidationError, ZeroState
 from .integrate import TimeGrid, _expm, _substeps, resolve_step
-from .model import AggregateModel
+from .model import AggregateModel, _drift
 
 _CHUNK_TRAJECTORIES = 1024
 #: Bytes of one sample's outer products a batch forms at once (16 N^2 per trajectory).
@@ -92,15 +92,6 @@ def _mapped(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
-def _deterministic_rhs(model: AggregateModel, kind: str):
-    """Noise-free amplitude derivative: -i H z for "sse", Kubo's 2 Re(z) coupling otherwise."""
-    if kind == "sse":
-        h_full = np.diag(model.epsilon).astype(complex) + model.coupling
-        return lambda z: -1j * (z @ h_full)
-    eps, v = model.epsilon, model.coupling
-    return lambda z: -1j * (z * eps) - 2j * (z.real @ v)
-
-
 def _strang_samples(
     kind: str,
     model: AggregateModel,
@@ -123,11 +114,10 @@ def _strang_samples(
     # (N,) row would make numpy's inner loop N long, about 6x slower.
     widths = np.tile(np.sqrt(h * model.gamma), (phases.shape[1], 1))
 
-    # The deterministic part is real-linear in the interleaved (re, im) view
-    # of z.  Row j of ``generator`` is the derivative of the j-th real basis
-    # vector (which also captures Kubo's Re(z) coupling), so a batch of rows
-    # advances by the exact flow over t as y @ e^{G t}, G being that matrix.
-    generator = _deterministic_rhs(model, kind)(np.eye(2 * n).view(complex)).view(float)
+    # The model's drift A acts on u = (x, p); a batch row y = z.view(float)
+    # interleaves (re, im) site by site, so G[(j, d), (i, c)] = A[(c, i), (d, j)]
+    # and the rows advance by the exact flow over t as y @ e^{G t}.
+    generator = _drift(model, kind == "sse").reshape(2, n, 2, n).transpose(3, 2, 1, 0).reshape(2 * n, 2 * n)
     half_step = _expm(0.5 * h * generator)
     full_step = _expm(h * generator)
 

@@ -177,7 +177,7 @@ def test_criterion_6_fmo_order_of_magnitude():
         return float(np.abs(quantum.populations() - classical.populations()).max())
 
     dev_real = deviation(ee.fmo_model_path())
-    doc = json.load(open(ee.fmo_model_path()))
+    doc = json.loads(ee.fmo_model_path().read_text())
     doc["shift"] = -12000.0
     dev_shift = deviation(doc)
     ok = dev_real < 0.01 and dev_shift >= 10.0 * dev_real and dev_shift < 0.5

@@ -21,7 +21,6 @@ from eetsim import (
 )
 from eetsim.classical import RstState, _rst_rhs, normalize_sigma
 from eetsim.errors import NormCollapse, NotPositive, ValidationError, ZeroState
-from eetsim.stochastic import _deterministic_rhs
 
 
 def anomalous(rst):
@@ -123,7 +122,8 @@ class TestLyapunovDrift:
         model = build_aggregate(3.0 + rng.normal(size=n), v, 0.0)
         z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
         w = rng.uniform(0.2, 1.0, size=4)
-        zdot = _deterministic_rhs(model, kind)(z)
+        # z' = -i H z, and Kubo's z' = -i eps z - i V (z + z*) adds the counter-rotating -i V z*
+        zdot = -1j * (z * model.epsilon + (z if kind == "sse" else z + z.conj()) @ model.coupling)
         u = np.concatenate([z.real, z.imag], axis=1)  # z = x + i p -> u = (x, p)
         udot = np.concatenate([zdot.real, zdot.imag], axis=1)
         m = np.einsum("k,ka,kb->ab", w, u, u)

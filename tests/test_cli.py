@@ -224,6 +224,25 @@ class TestRun:
         assert [p.name for p in out.iterdir()] == ["lindblad.csv"]
         assert (out / "lindblad.csv").read_text() == "earlier run\n"
 
+    def test_memory_error_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # an engine that cannot allocate its arrays: exit 1 with one stderr
+        # line, not a traceback, and --out kept as it was
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 1.22 TiB for an array with shape (100000000, 1682)")
+
+        monkeypatch.setattr("eetsim.cli.propagate_lindblad", out_of_memory)
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "lindblad.csv").write_text("earlier run\n")
+        code = run_cli("run", "--chain", "2,V=1,eps=1,gamma=1,start=0",
+                       "--engines", "lindblad", "--grid", "0:1:3", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("eetsim: error: engine=lindblad MemoryError: Unable to allocate")
+        assert [p.name for p in out.iterdir()] == ["lindblad.csv"]
+        assert (out / "lindblad.csv").read_text() == "earlier run\n"
+
     def test_failed_run_removes_the_out_it_created(self, tmp_path, capsys):
         # a fresh nested --out: the classical blow-up leaves neither directory behind
         out = tmp_path / "a" / "b"

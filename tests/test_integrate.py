@@ -129,7 +129,7 @@ class TestExactFlow:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
         y0 = rng.normal(size=4)
-        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", max_dim)
+        monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", max_dim)
         grid = TimeGrid(0.0, 1.0, 5)
         out = expm_propagate(lambda y: a @ y, y0, grid)
         exact = np.array([scipy.linalg.expm(a * t) @ y0 for t in grid.times])
@@ -174,9 +174,9 @@ class TestKrylov:
             rhs = _rst_rhs(model, quantum=False)
             y0 = initial_rst_pure(init.amplitudes).pack()
         grid = TimeGrid(0.0, 0.2, 21)
-        assert y0.size <= eetsim.integrate._LINEARIZE_MAX_DIM
+        assert y0.size <= eetsim.integrate._DENSE_MAX_DIM
         dense = expm_propagate(rhs, y0, grid)
-        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
         krylov = expm_propagate(rhs, y0, grid)
         assert np.abs(krylov - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -194,7 +194,7 @@ class TestKrylov:
             calls.append(None)
             return a @ y
 
-        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
         grid = TimeGrid(0.0, 1.0, 3)
         out = expm_propagate(rhs, y0, grid)
         assert len(calls) > 2 * eetsim.integrate._KRYLOV_MAX_DIM
@@ -210,7 +210,7 @@ class TestKrylov:
         rhs, y0 = _chain_engine(5 if engine == "lindblad" else 8, epsilon, engine)
         grid = TimeGrid(0.0, t_end, 3)
         dense = expm_propagate(rhs, y0, grid)
-        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
         krylov = expm_propagate(rhs, y0, grid)
         assert np.abs(krylov - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -229,7 +229,7 @@ class TestKrylov:
             return expm(a)
 
         monkeypatch.setattr(eetsim.integrate, "_expm", counted)
-        monkeypatch.setattr(eetsim.integrate, "_LINEARIZE_MAX_DIM", 0)
+        monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
         grid = TimeGrid(0.0, 10.0, 201)
         expm_propagate(rhs, y0, grid)
         assert len(calls) <= grid.n_samples - 1 + eetsim.integrate._KRYLOV_MAX_DIM
@@ -251,7 +251,7 @@ class TestDenseOrCallback:
         grid = TimeGrid(0.0, 1.0, 4)
         out = expm_propagate(rhs, np.ones(dim), grid)
         assert np.abs(out - np.exp(-0.1 * grid.times)[:, None]).max() <= 1e-14
-        if dim <= eetsim.integrate._LINEARIZE_MAX_DIM:
+        if dim <= eetsim.integrate._DENSE_MAX_DIM:
             assert len(calls) == dim
             assert np.array_equal(np.array(calls), np.eye(dim))
         else:

@@ -211,6 +211,13 @@ class TestDensityMatrix:
         # the zero-norm check also refuses a NaN or infinite amplitude, without a warning
         raises_exactly(exc_type, caller, [value, 0.0])
 
+    @pytest.mark.parametrize("caller", [pure_density, initial_rst_pure],
+                             ids=["pure_density", "initial_rst_pure"])
+    @pytest.mark.parametrize("amplitudes", [[[1.0, 0.0], [0.0, 1.0]], 1.0], ids=["matrix", "scalar"])
+    def test_amplitudes_not_a_vector_rejected(self, caller, amplitudes):
+        # np.outer flattens its inputs: a 2 x 2 array would give a 4 x 4 state
+        raises_exactly(DimensionMismatch, caller, amplitudes)
+
     def test_immutable(self):
         dm = pure_density([1.0, 0.0])
         with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ class TestLindblad:
         n = 29
         rng = np.random.default_rng(3)
         model = build_aggregate(rng.uniform(-5.0, 5.0, n), np.zeros((n, n)), rng.uniform(0.0, 1.0, n))
-        assert 2 * n * n > eetsim.integrate._LINEARIZE_MAX_DIM
+        assert 2 * n * n > eetsim.integrate._DENSE_MAX_DIM
         rho0 = pure_density(np.full(n, n**-0.5))
         grid = TimeGrid(0.0, 4.0, 41)
         traj = propagate_lindblad(model, rho0, grid)

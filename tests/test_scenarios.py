@@ -76,14 +76,14 @@ class TestLoadModel:
         assert init.is_pure and np.isclose(abs(init.amplitudes[0]), 1.0)
 
     def test_shift_key(self):
-        doc = json.load(open(fmo_model_path()))
+        doc = json.loads(fmo_model_path().read_text())
         doc["shift"] = -12000.0
         model, _ = load_model(doc)
         assert np.all(model.epsilon > 0.0)
         assert np.all(model.epsilon < 1000 * CM)
 
     def test_excessive_shift_rejected(self):
-        doc = json.load(open(fmo_model_path()))
+        doc = json.loads(fmo_model_path().read_text())
         doc["shift"] = -13000.0
         with pytest.raises(NonPositiveFrequency):
             load_model(doc)

@@ -17,7 +17,19 @@ from eetsim import (
 )
 from eetsim.errors import GridMismatch, ValidationError, ZeroState
 from eetsim.integrate import _substeps, resolve_step
-from eetsim.stochastic import TrajectoryEnsemble, _deterministic_rhs, _strang_samples, derive_stream
+from eetsim.stochastic import TrajectoryEnsemble, _strang_samples, derive_stream
+
+
+def amplitude_rhs(model, kind):
+    """Noise-free derivative of (batch, N) amplitude rows.
+
+    z' = -i H z for "sse"; z' = -i eps z - i V (z + z*) for "kubo", whose
+    -i V z* is the counter-rotating term.
+    """
+    eps, v = model.epsilon, model.coupling
+    if kind == "sse":
+        return lambda z: -1j * (z * eps + z @ v)
+    return lambda z: -1j * (z * eps + (z + z.conj()) @ v)
 
 
 def strang_samples(kind, model, z0, grid, streams):
@@ -148,6 +160,29 @@ class TestKuboTrajectory:
 
 class TestStrangMap:
     @pytest.mark.parametrize("kind", ["sse", "kubo"])
+    def test_flows_exponentiate_the_amplitude_derivative(self, kind, monkeypatch):
+        # the generator taken from the model's drift is, entry for entry, the
+        # amplitude derivative probed on the interleaved (re, im) basis rows
+        rng = np.random.default_rng(8)
+        v = np.triu(rng.normal(size=(4, 4)), 1)  # every pair coupled, not only neighbours
+        model = build_aggregate(10.0 + 3.0 * rng.normal(size=4), v + v.T, [0.5, 1.0, 0.2, 2.0])
+        grid = TimeGrid(0.0, 0.05, 3)
+        _, h = _substeps(grid.spacing, resolve_step(model, grid))
+        exponentiated, expm = [], eetsim.stochastic._expm
+
+        def recording_expm(a):
+            exponentiated.append(a.copy())
+            return expm(a)
+
+        monkeypatch.setattr(eetsim.stochastic, "_expm", recording_expm)
+        strang_samples(kind, model, np.ones(4, dtype=complex), grid, [derive_stream(1, 0)])
+
+        generator = amplitude_rhs(model, kind)(np.eye(8).view(complex)).view(float)
+        assert len(exponentiated) == 2
+        assert np.array_equal(exponentiated[0], 0.5 * h * generator)
+        assert np.array_equal(exponentiated[1], h * generator)
+
+    @pytest.mark.parametrize("kind", ["sse", "kubo"])
     def test_substep_equals_exact_flow(self, kind):
         # one substep: exact half step, phase kick, exact half step, each half
         # step scipy's e^{G h/2} of the probed real 2N x 2N generator
@@ -158,7 +193,7 @@ class TestStrangMap:
         z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])
         got = strang_samples(kind, model, z0, grid, [derive_stream(3, 0)])[1, 0]
 
-        generator = _deterministic_rhs(model, kind)(np.eye(6).view(complex)).view(float)
+        generator = amplitude_rhs(model, kind)(np.eye(6).view(complex)).view(float)
         flow = scipy.linalg.expm(0.5 * h * generator)
 
         def half_step(z):
@@ -180,7 +215,7 @@ class TestStrangMap:
         z0 = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])
         got = strang_samples(kind, model, z0, grid, [derive_stream(3, 0)])[1, 0]
 
-        generator = _deterministic_rhs(model, kind)(np.eye(6).view(complex)).view(float)
+        generator = amplitude_rhs(model, kind)(np.eye(6).view(complex)).view(float)
         half, full = scipy.linalg.expm(0.5 * h * generator), scipy.linalg.expm(h * generator)
 
         def flow(z, m):
@@ -206,7 +241,7 @@ def strang_second_moment(kind, model, y0, grid):
     """
     n = model.n_sites
     n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
-    generator = _deterministic_rhs(model, kind)(np.eye(2 * n).view(complex)).view(float)
+    generator = amplitude_rhs(model, kind)(np.eye(2 * n).view(complex)).view(float)
     half = scipy.linalg.expm(0.5 * h * generator)
     decay = np.repeat(np.exp(-0.5 * h * model.gamma), 2)
     off_diagonal = np.outer(decay, decay)
