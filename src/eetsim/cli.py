@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 numerical failure (naming the engine), 2
 configuration error.  Every error path prints a single machine-parsable line
 to standard error.  A failed run leaves the output directory as it found it.
+A successful run whose classical trace grew past NORM_GROWTH_WARNING prints
+one warning line per engine to standard error and still exits 0.
 The default output directory is taken from the ``EETSIM_OUTDIR`` environment
 variable when set.
 """
@@ -23,7 +25,7 @@ from . import __version__
 from .bessel import chain_bessel_populations
 from .classical import initial_rst_mixed, initial_rst_pure, propagate_classical_rst
 from .errors import EetsimError, ValidationError
-from .integrate import TimeGrid
+from .integrate import TimeGrid, ensemble_work
 from .model import rca_check
 from .quantum import propagate_lindblad
 from .scenarios import _model_from_document, _read_document, make_chain
@@ -41,6 +43,14 @@ from .timeseries import (
 ENGINES = ("lindblad", "classical", "sse", "kubo", "bessel")
 DEFAULT_SEED = 1234
 DEFAULT_NTRAJ = 10_000
+#: sse and kubo requests of more kicks x trajectories x sites are refused:
+#: at about 9e-8 s per update on a 2-core x86-64 host, 10^10 is a quarter of
+#: an hour; the README's ensembles need at most 5.8e8.
+ENSEMBLE_WORK_BUDGET = 10**10
+#: A classical or kubo run warns when its norm_factor (the trace divided
+#: out of sigma, 1 at t = 0) exceeds this: the oscillators are blowing up,
+#: and the normalized output means little.
+NORM_GROWTH_WARNING = 10.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,6 +150,10 @@ def _check_engines(engines, model, initial, chain, grid, args) -> None:
             raise _ConfigError(f"--ntraj must be at least 1, got {args.ntraj}")
         if engine in ("sse", "kubo") and args.seed < 0:
             raise _ConfigError(f"--seed must be non-negative, got {args.seed}")
+        work = ensemble_work(model, grid, args.ntraj) if engine in ("sse", "kubo") else 0
+        if work > ENSEMBLE_WORK_BUDGET:
+            raise _ConfigError(f"engine {engine!r}: {work:.2e} kicks x trajectories x sites exceed "
+                               f"the budget of {ENSEMBLE_WORK_BUDGET:.0e}; reduce --ntraj or the grid")
 
 
 def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
@@ -188,6 +202,7 @@ def cmd_run(args) -> int:
     # are removed and the earlier files put back.
     earlier = {}
     written = []
+    warnings = []
     complete = False
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,6 +224,10 @@ def cmd_run(args) -> int:
                 return _fail_numeric(engine, exc)
             written.append(destination)
             write_timeseries(series, args.format, destination)
+            norms = series.channels.get("norm_factor")
+            if norms is not None and norms.max() > NORM_GROWTH_WARNING:
+                warnings.append(f"eetsim: warning: engine={engine} norm_factor grew to {norms.max():.3g} "
+                                f"(> {NORM_GROWTH_WARNING:g}): the classical oscillators blow up")
         complete = True
     except OSError as exc:
         return _fail_config(str(exc))
@@ -224,6 +243,8 @@ def cmd_run(args) -> int:
                 hidden.unlink()
             else:
                 hidden.replace(destination)
+    for line in warnings:
+        print(line, file=sys.stderr)
     for destination in destinations:
         print(f"wrote {destination}")
     return 0

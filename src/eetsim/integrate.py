@@ -6,14 +6,17 @@ supplies a linear derivative callback y' = L y.  L is autonomous, so each
 sample interval is exactly y <- e^{L spacing} y, and :func:`expm_propagate`
 computes that product: systems up to ``_DENSE_MAX_DIM`` probe L once and
 form the dense interval map by scaling and squaring (:func:`_expm`); larger
-ones take Krylov steps with the callback as the matrix-vector product.  The
-result does not depend on a step size, and reruns are bit-reproducible.
+ones take Krylov steps with the callback as the matrix-vector product, one
+Arnoldi basis spanning as many sample intervals as its error estimate
+allows.  The result does not depend on a step size, and reruns are
+bit-reproducible.
 
 Tolerance: the dense map is exact to rounding, about 1e-16 times the norm of
-L spacing; each accepted Krylov step has an estimated error of at most 1e-12
-times the norm of the state it starts from, by Saad's phi_1 estimate, checked
-from the basis size the previous step needed.  That estimate does not
-underflow on a long interval, so a collapsed step is not accepted.
+L spacing; every sample a Krylov basis writes has an estimated error of at
+most 1e-12 times the norm of the state the basis starts from, by Saad's
+phi_1 estimate at that sample's time, checked from the basis size the
+previous step needed.  That estimate does not underflow on a long interval,
+so a collapsed step is not accepted.
 
 The step rule serves only the stochastic engines, whose Strang splitting
 needs a step: the uniform sample spacing splits into n_sub equal substeps h,
@@ -127,6 +130,18 @@ def resolve_step(model: AggregateModel, grid: TimeGrid) -> float:
     return dt
 
 
+def ensemble_work(model: AggregateModel, grid: TimeGrid, n_traj: int) -> int:
+    """Kicks x trajectories x sites of an sse or kubo run: the measure of its cost.
+
+    0 when the step rule refuses the request, which the engine then reports.
+    """
+    try:
+        n_sub, _ = _substeps(grid.spacing, resolve_step(model, grid))
+    except EetsimError:
+        return 0
+    return n_sub * (grid.n_samples - 1) * n_traj * model.n_sites
+
+
 def _substeps(span: float, dt: float) -> tuple[int, float]:
     """The step rule: (n_sub, h) with n_sub equal substeps h <= dt spanning ``span``."""
     ratio = span / dt
@@ -181,31 +196,53 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _krylov_flow(rhs, y: np.ndarray, span: float, basis: np.ndarray, hess: np.ndarray,
-                 aug: np.ndarray, check_from: int) -> tuple[np.ndarray, int]:
-    """e^{L span} y by Arnoldi steps, with ``rhs`` as the product L v.
+def _passing_powers(flow: np.ndarray, scale: float, limit: int) -> np.ndarray:
+    """Rows [flow^k e_1]_{:m} for k = 1, 2, ... up to the first k whose estimate fails, at most ``limit``.
 
-    Each step builds an orthonormal basis of {y, L y, ..., L^{m-1} y} by
-    classical Gram-Schmidt applied twice (CGS2), and takes y <- beta V_m
-    e^{tau H_m} e_1 with beta = |y|.  The exponential of [[tau H_m, e_1], [0,
-    0]] holds it in column 0 and phi_1(tau H_m) e_1 in column m, and the step
-    is accepted once Saad's corrected estimate beta h_{m+1,m} tau
-    |[phi_1(tau H_m) e_1]_m| is at most _KRYLOV_TOL beta; phi_1 decays only
-    like 1 / (tau |H_m|) where e^{tau H_m} e_1 underflows.  The estimate is
-    checked at each m from ``check_from`` (the size the previous step needed),
-    at a breakdown, and at m = _KRYLOV_MAX_DIM, where tau is halved on the same
-    basis until it passes.  ``basis``, ``hess`` and ``aug`` are reused
-    workspaces.  Returns the new state and its last step's basis size.
+    ``flow`` is e^{[[tau H_m, e_1], [0, 0]]}, so flow^k holds e^{k tau H_m} e_1
+    in column 0 and k phi_1(k tau H_m) e_1 in column m, and ``scale``
+    (h_{m+1,m} tau) times the latter's entry m - 1 is Saad's estimate at k tau.
     """
-    remaining = span
-    while remaining > 0.0:
+    m = flow.shape[0] - 1
+    columns = flow[:, [0, m]]
+    passed = []
+    while len(passed) < limit and scale * abs(columns[m - 1, 1]) <= _KRYLOV_TOL:
+        passed.append(columns[:m, 0])
+        columns = flow @ columns
+    return np.array(passed).reshape(-1, m)
+
+
+def _krylov_propagate(rhs, out: np.ndarray, spacing: float) -> None:
+    """Fill out[1:] with e^{L t} out[0] at the grid times by Arnoldi steps, ``rhs`` being the product L v.
+
+    Each step builds an orthonormal basis V_m of {y, L y, ..., L^{m-1} y} by
+    classical Gram-Schmidt applied twice (CGS2) and exponentiates [[tau H_m,
+    e_1], [0, 0]] once, tau being the spacing.  The k-th power of that
+    exponential holds e^{k tau H_m} e_1 and k phi_1(k tau H_m) e_1, so one
+    basis writes the samples k = 1, 2, ... as beta V_m e^{k tau H_m} e_1, beta
+    = |y|, up to the first k whose corrected estimate beta h_{m+1,m} tau
+    |[k phi_1(k tau H_m) e_1]_m| exceeds _KRYLOV_TOL beta; phi_1 decays only
+    like 1 / (k tau |H_m|) where e^{k tau H_m} e_1 underflows.  The basis
+    grows until the estimate passes at the last grid time, breaks down (which
+    covers every remaining sample) or holds _KRYLOV_MAX_DIM vectors, and the
+    estimate is checked from the basis size the previous step needed.  When a
+    full basis does not span even one interval, tau is halved on it until the
+    estimate passes, and further steps cover the rest of that interval.
+    """
+    n_samples, dim = out.shape
+    basis = np.empty((_KRYLOV_MAX_DIM, dim))
+    hess = np.zeros((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM))
+    aug = np.empty((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM + 1))
+    y, i, tau, check_from = out[0], 0, spacing, 1  # y lies tau before sample i + 1
+    while i < n_samples - 1:
         beta = float(np.linalg.norm(y))
         if beta == 0.0:
-            return y, check_from
+            out[i + 1 :] = 0.0
+            return
         if not math.isfinite(beta):
             raise EetsimError("state is not finite")
         np.divide(y, beta, out=basis[0])
-        tau = remaining
+        limit = n_samples - 1 - i if tau == spacing else 1  # the rest of a split interval
         for j in range(_KRYLOV_MAX_DIM):
             w = np.array(rhs(basis[j]))
             done = basis[: j + 1]
@@ -215,22 +252,29 @@ def _krylov_flow(rhs, y: np.ndarray, span: float, basis: np.ndarray, hess: np.nd
             w -= again @ done
             hess[: j + 1, j] = coeffs + again
             hess[j + 1, j] = norm = float(np.linalg.norm(w))
-            if j + 1 >= check_from or norm == 0.0 or j + 1 == _KRYLOV_MAX_DIM:
-                aug[: j + 2, : j + 2] = 0.0
-                np.multiply(hess[: j + 1, : j + 1], tau, out=aug[: j + 1, : j + 1])
-                aug[0, j + 1] = 1.0
-                flow = _expm(aug[: j + 2, : j + 2])
-                if norm * tau * abs(flow[j, j + 1]) <= _KRYLOV_TOL or j + 1 == _KRYLOV_MAX_DIM:
+            m = j + 1
+            if m >= check_from or norm == 0.0 or m == _KRYLOV_MAX_DIM:
+                aug[: m + 1, : m + 1] = 0.0
+                np.multiply(hess[:m, :m], tau, out=aug[:m, :m])
+                aug[0, m] = 1.0
+                flow = _expm(aug[: m + 1, : m + 1])
+                passed = _passing_powers(flow, norm * tau, limit)
+                if len(passed) == limit or norm == 0.0 or m == _KRYLOV_MAX_DIM:
                     break
-            np.divide(w, norm, out=basis[j + 1])
-        while norm * tau * abs(flow[j, j + 1]) > _KRYLOV_TOL:
-            tau *= 0.5
-            aug[: j + 1, : j + 1] *= 0.5
-            flow = _expm(aug[: j + 2, : j + 2])
-        y = beta * (flow[: j + 1, 0] @ done)
-        remaining -= tau
-        check_from = j + 1
-    return y, check_from
+            np.divide(w, norm, out=basis[m])
+        check_from = m
+        if len(passed):
+            _product(beta * passed, done, out[i + 1 : i + 1 + len(passed)])
+            i += len(passed)
+            y, tau = out[i], spacing
+            continue
+        step = tau  # not even one interval passes on a full basis
+        while norm * step * abs(flow[m - 1, m]) > _KRYLOV_TOL:
+            step *= 0.5
+            aug[:m, :m] *= 0.5
+            flow = _expm(aug[: m + 1, : m + 1])
+        y = beta * (flow[:m, 0] @ done)
+        tau -= step
 
 
 def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -238,14 +282,15 @@ def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
     Up to ``_DENSE_MAX_DIM`` the callback is probed once per basis vector,
     the interval map e^{L spacing} is formed once and each sample is one
-    product with it; beyond it every interval takes the Krylov steps of
-    :func:`_krylov_flow`.  Returns an array of shape (n_samples, len(y0)).
+    product with it; beyond it :func:`_krylov_propagate` takes Krylov steps,
+    each spanning as many sample intervals as its error estimate allows.
+    Returns an array of shape (n_samples, len(y0)).
     """
     y = np.asarray(y0, dtype=float)
     out = np.empty((grid.n_samples, y.size))
     out[0] = y
-    # non-finite values are refused by _expm, _krylov_flow and the engines'
-    # stack checks, never reported as numpy warnings
+    # non-finite values are refused by _expm, _krylov_propagate and the
+    # engines' stack checks, never reported as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if y.size <= _DENSE_MAX_DIM:
             generator = np.column_stack([rhs(e) for e in np.eye(y.size)])
@@ -254,10 +299,5 @@ def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
             for i in range(grid.n_samples - 1):
                 np.matmul(interval, out[i], out=out[i + 1])
             return out
-        basis = np.empty((_KRYLOV_MAX_DIM, y.size))
-        hess = np.zeros((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM))
-        aug = np.empty((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM + 1))
-        check_from = 1
-        for i in range(1, grid.n_samples):
-            out[i], check_from = _krylov_flow(rhs, out[i - 1], grid.spacing, basis, hess, aug, check_from)
+        _krylov_propagate(rhs, out, grid.spacing)
     return out

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eetsim.cli import main
-from eetsim.scenarios import fmo_model_path
+from eetsim.cli import ENSEMBLE_WORK_BUDGET, main
+from eetsim.integrate import TimeGrid, ensemble_work
+from eetsim.scenarios import fmo_model_path, make_chain
 from eetsim.timeseries import read_timeseries
 
 
@@ -289,6 +290,51 @@ class TestRun:
         assert np.abs(pops.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(pops[:, 1] - 1.0 / 29).max() <= 1e-6
         assert np.abs(pops[:, 2] - 1.0 / 29).max() <= 1e-11
+
+    def test_classical_blow_up_warns(self, tmp_path, capsys):
+        # at eps = 1 the classical chain's trace grows to about 2e10 by t = 10:
+        # the run completes, exit 0, with one warning line naming the engine
+        code = run_cli("run", "--chain", "29,V=1,eps=1,gamma=1,start=14",
+                       "--engines", "lindblad,classical", "--grid", "0:10:201", "--out", str(tmp_path))
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("eetsim: warning: engine=classical norm_factor grew to 2")
+        assert (tmp_path / "classical.csv").exists()
+
+    @pytest.mark.parametrize("scenario", [
+        ["--chain", "29,V=1,eps=40,gamma=1,start=14", "--grid", "0:10:201"],
+        ["--model", str(fmo_model_path()), "--grid", "0:1:101"],
+    ], ids=["readme-chain", "fmo"])
+    def test_bounded_classical_run_is_silent(self, tmp_path, capsys, scenario):
+        # the README's chain (norm_factor up to 1.014) and FMO (1.001) warn of nothing
+        code = run_cli("run", *scenario, "--engines", "lindblad,classical", "--out", str(tmp_path))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("engine", ["sse", "kubo"])
+    def test_runaway_ensemble_refused(self, tmp_path, capsys, engine):
+        # 10^8 substeps per interval: 2e8 kicks x 4 trajectories x 29 sites,
+        # refused in one line before --out is made
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = run_cli("run", "--chain", "29,V=1,eps=40,gamma=1,start=14", "--engines", f"lindblad,{engine}",
+                       "--ntraj", "4", "--grid", "0:1e6:3", "--out", str(out))
+        assert code == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"eetsim: error: engine '{engine}': 2.32e+10 kicks x trajectories x sites")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_sites,eps,grid", [
+        (2, 10.0, TimeGrid(0.0, 5.0, 101)),  # README dimer, criterion 7
+        (29, 40.0, TimeGrid(0.0, 10.0, 201)),  # README library example
+    ], ids=["dimer", "chain29"])
+    def test_documented_ensembles_within_budget(self, n_sites, eps, grid):
+        # 10^4 trajectories of every documented ensemble stay at least 10x below the budget
+        model, _ = make_chain(n_sites, 1.0, eps, 1.0, 0)
+        assert 0 < 10 * ensemble_work(model, grid, 10_000) <= ENSEMBLE_WORK_BUDGET
 
     def test_mixed_initial_rejects_sse(self, tmp_path):
         path = tmp_path / "mixed.json"

@@ -219,7 +219,8 @@ class TestKrylov:
     def test_one_exponential_per_step(self, monkeypatch, engine, epsilon):
         # the estimate is checked from the basis size the previous step
         # needed, so the basis grows past it (one more exponential per
-        # vector) at most _KRYLOV_MAX_DIM times over the whole run
+        # vector) at most _KRYLOV_MAX_DIM times over the whole run, and every
+        # other exponential serves a step that writes at least one sample
         rhs, y0 = _chain_engine(8, epsilon, engine)
         calls = []
         expm = eetsim.integrate._expm
@@ -234,13 +235,75 @@ class TestKrylov:
         expm_propagate(rhs, y0, grid)
         assert len(calls) <= grid.n_samples - 1 + eetsim.integrate._KRYLOV_MAX_DIM
 
+    @pytest.mark.parametrize("engine", ["lindblad", "classical"])
+    @pytest.mark.parametrize("epsilon", [40.0, 1.0])
+    def test_basis_spanning_several_intervals_matches_scipy(self, monkeypatch, engine, epsilon):
+        # one Arnoldi basis writes every sample its estimate passes, and each
+        # of them, not only the last, matches e^{L t} y0
+        rhs, y0 = _chain_engine(8, epsilon, engine)
+        generator = np.column_stack([rhs(e) for e in np.eye(y0.size)])
+        spans = []
+        passing_powers = eetsim.integrate._passing_powers
+
+        def counted(flow, scale, limit):
+            passed = passing_powers(flow, scale, limit)
+            spans.append(len(passed))
+            return passed
+
+        monkeypatch.setattr(eetsim.integrate, "_passing_powers", counted)
+        monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
+        grid = TimeGrid(0.0, 2.5, 51)
+        out = expm_propagate(rhs, y0, grid)
+        assert max(spans) > 1
+        exact = np.array([scipy.linalg.expm(generator * t) @ y0 for t in grid.times])
+        assert np.abs(out - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_basis_spanning_past_the_grid_stops_at_its_end(self, monkeypatch):
+        # three decay rates: the basis breaks down at three vectors and would
+        # cover any number of samples; exactly n_samples rows come back
+        dim = 40
+        rates = np.array([0.5, 1.0, 2.0])[np.arange(dim) % 3]
+        y0 = np.linspace(1.0, 2.0, dim)
+        calls = []
+
+        def rhs(y):
+            calls.append(None)
+            return -rates * y
+
+        monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
+        grid = TimeGrid(0.0, 2.0, 5)
+        out = expm_propagate(rhs, y0, grid)
+        assert out.shape == (grid.n_samples, dim)
+        assert len(calls) == 3
+        exact = np.exp(-np.outer(grid.times, rates)) * y0
+        assert np.abs(out - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_chain29_takes_fewer_products_than_intervals(self):
+        # the README's 29-site chain at eps = 40 (flat dimension 1682, beyond
+        # the dense threshold): one basis per interval took 8 products each;
+        # bases spanning several intervals take fewer than one per interval
+        model, init = make_chain(29, 1.0, 40.0, 1.0, 14)
+        rhs = _lindblad_rhs(model)
+        calls = []
+
+        def counted(y):
+            calls.append(None)
+            return rhs(y)
+
+        grid = TimeGrid(0.0, 10.0, 201)
+        y0 = _pack_density(init.rho.data)
+        assert y0.size > eetsim.integrate._DENSE_MAX_DIM
+        expm_propagate(counted, y0, grid)
+        assert len(calls) < grid.n_samples - 1
+
 
 class TestDenseOrCallback:
     @pytest.mark.parametrize("dim", [12, 601])
     def test_rhs_calls_pin_the_choice(self, dim):
         # up to the threshold: one probe per basis vector, then matrix
-        # products only; above it: Krylov products and no probes.  -0.1 I
-        # leaves every Krylov basis at one vector, so one call per interval
+        # products only; above it: Krylov products and no probes.  The basis
+        # of -0.1 I breaks down at one vector, which spans the whole grid, so
+        # one call in all
         a = -0.1 * np.eye(dim)
         calls = []
 
@@ -255,5 +318,5 @@ class TestDenseOrCallback:
             assert len(calls) == dim
             assert np.array_equal(np.array(calls), np.eye(dim))
         else:
-            assert len(calls) == grid.n_samples - 1
+            assert len(calls) == 1
             assert np.allclose(np.array(calls), dim**-0.5, rtol=0.0, atol=1e-15)
