@@ -182,29 +182,33 @@ class ClassicalTrajectory:
 
 
 def _rst_rhs(model: AggregateModel, quantum: bool):
-    """Derivative callback for the packed moment state: the Lyapunov equation above."""
+    """Derivative callback for the packed moment state: the Lyapunov equation above.
+
+    Takes one packed state or a (k, N (2N + 1)) stack of them and returns the
+    derivatives in the same shape, computed in packed form: entry (a, b) of
+    A M + (A M)^T is (A M)_ab + (A M)_ba, so no (2N, 2N) derivative is formed.
+    """
     n = model.n_sites
     drift = _drift(model, quantum)
     gamma = np.concatenate([model.gamma, model.gamma])
-    damping = 0.5 * (gamma[:, None] + gamma[None, :])
-    # gamma_n J_n M J_n^T lives on site n's four entries: (x, x) <- S_nn,
-    # (p, p) <- R_nn, and (x, p), (p, x) <- -T_nn.
-    x, p = np.arange(n), np.arange(n, 2 * n)
-    rotated = (np.r_[x, p, x, p], np.r_[x, p, p, x])
-    source = (np.r_[p, x, p, x], np.r_[p, x, x, p])
-    weight = np.r_[gamma, -gamma]
     index, upper = _moment_layout(n)
-    # M, A M and dM, reused by every call: fresh temporaries in each call shifted
-    # glibc's heap layout and raised the 29-chain run's peak memory
-    m, am, dm = np.empty((3, 2 * n, 2 * n))
+    rows, cols = np.divmod(upper, 2 * n)
+    lower = cols * (2 * n) + rows
+    damping = 0.5 * (gamma[rows] + gamma[cols])
+    # gamma_n J_n M J_n^T on site n's packed entries: (x, x) <- S_nn,
+    # (p, p) <- R_nn and (x, p) <- -T_nn.
+    x, p = np.arange(n), np.arange(n, 2 * n)
+    rotated = index[np.r_[x, p, x], np.r_[x, p, p]]
+    source = index[np.r_[p, x, x], np.r_[p, x, p]]
+    weight = np.r_[model.gamma, model.gamma, -model.gamma]
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        np.take(y, index, out=m)
-        np.matmul(drift, m, out=am)
-        np.add(am, am.T, out=dm)
-        np.subtract(dm, np.multiply(damping, m, out=am), out=dm)
-        dm[rotated] += weight * m[source]
-        return dm.take(upper)
+        am = (drift @ y.take(index, axis=-1)).reshape(y.shape[:-1] + (-1,))
+        dy = am.take(upper, axis=-1)
+        dy += am.take(lower, axis=-1)
+        dy -= damping * y
+        dy[..., rotated] += weight * y[..., source]
+        return dy
 
     return rhs
 

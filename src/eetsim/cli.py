@@ -172,12 +172,9 @@ def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
             return series_from_ensemble(ens, "sse-ensemble", units=units)
         ens = run_kubo_ensemble(model, initial.amplitudes, grid, noise, n_traj=args.ntraj)
         return series_from_ensemble(ens, "kubo-ensemble", units=units, normalize=True)
-    channels = {
-        f"population:{site}": np.array(
-            [chain_bessel_populations(chain["v"], site - chain["start"], t) for t in grid.times]
-        )
-        for site in range(chain["n_sites"])
-    }
+    offsets = np.arange(chain["n_sites"]) - chain["start"]
+    populations = np.array([chain_bessel_populations(chain["v"], offsets, t) for t in grid.times])
+    channels = {f"population:{site}": populations[:, site] for site in range(chain["n_sites"])}
     return TimeSeries(times=grid.times.copy(), channels=channels, engine="bessel", units=units)
 
 

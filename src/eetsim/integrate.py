@@ -2,14 +2,18 @@
 
 Every engine packs its state into one flat real vector (2 N^2 reals for a
 density matrix, N (2N + 1) for the symmetric second-moment matrix) and
-supplies a linear derivative callback y' = L y.  L is autonomous, so each
-sample interval is exactly y <- e^{L spacing} y, and :func:`expm_propagate`
-computes that product: systems up to ``_DENSE_MAX_DIM`` probe L once and
-form the dense interval map by scaling and squaring (:func:`_expm`); larger
-ones take Krylov steps with the callback as the matrix-vector product, one
-Arnoldi basis spanning as many sample intervals as its error estimate
-allows.  The result does not depend on a step size, and reruns are
-bit-reproducible.
+supplies a linear derivative callback y' = L y, which also maps a (k, D)
+stack of states to its k derivatives.  L is autonomous, so each sample
+interval is exactly y <- e^{L spacing} y, and :func:`expm_propagate`
+computes that product: systems up to ``_DENSE_MAX_DIM`` probe L with one
+call on the identity stack and form the dense interval map by scaling and
+squaring (:func:`_expm`, BLAS matrix products); larger ones take Krylov
+steps with the callback as the matrix-vector product, one Arnoldi basis
+spanning as many sample intervals as its error estimate allows.  The result
+does not depend on a step size, and reruns with the same numpy, BLAS build
+and BLAS thread count are bit-reproducible; OpenBLAS 0.3.31 splits a product
+of D >= 105 differently for one thread than for several, which moves the
+last bits.
 
 Tolerance: the dense map is exact to rounding, about 1e-16 times the norm of
 L spacing; every sample a Krylov basis writes has an estimated error of at
@@ -41,9 +45,13 @@ from .model import AggregateModel
 STEP_GUARD = 0.1
 #: Default step resolves the splitting rate with 100 steps per radian.
 DEFAULT_STEP_FACTOR = 0.01
-#: Up to this flat dimension expm_propagate forms the dense interval map;
-#: beyond it the D probes and D x D products cost more than Krylov steps, and
-#: one D x D matrix would dominate the run's memory.
+#: Up to this flat dimension expm_propagate forms the dense interval map.
+#: The crossover depends on the spectrum (2 cores, 101-201 samples): at D =
+#: 600 Krylov steps are 4-5x faster on a chain's Lindblad run and 1.5-3.5x on
+#: its classical run, but 1.5x slower on a 17-site FMO-like classical run,
+#: whose fast on-site rotation splits Krylov intervals; at FMO's D = 105 the
+#: dense map is 3x (Lindblad) to 20x (classical) faster.  The dense path holds
+#: about seven D x D matrices: 20 MiB at D = 600, 160 MiB at D = 1700.
 _DENSE_MAX_DIM = 600
 #: _expm's Taylor degree, the 1-norm its scaled argument is brought to, and
 #: the powers X, ..., X^_TAYLOR_POWERS its Paterson-Stockmeyer form keeps.
@@ -151,11 +159,6 @@ def _substeps(span: float, dt: float) -> tuple[int, float]:
     return n_sub, span / n_sub
 
 
-def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # einsum, not BLAS gemm: gemm's packing buffers stay resident (0.5 MiB after one at D = 147)
-    return np.einsum("ij,jk->ik", x, y, out=out)
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """e^a by scaling and squaring of a degree-18 Taylor polynomial.
 
@@ -177,17 +180,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
         powers = np.empty((_TAYLOR_POWERS, dim, dim))
         np.multiply(a, 2.0**-squarings, out=powers[0])
         for p in range(1, _TAYLOR_POWERS):
-            _product(powers[p - 1], powers[0], powers[p])
+            np.matmul(powers[p - 1], powers[0], out=powers[p])
         inc = np.empty((dim, dim))
         tmp = np.zeros((dim, dim))
         for j in range(len(_TAYLOR_BLOCKS) - 1, -1, -1):  # E = B_0 + X^4 (B_1 + ... + X^4 B_4)
-            np.einsum("k,kij->ij", _TAYLOR_BLOCKS[j, 1:], powers[:-1], out=inc)
+            np.matmul(_TAYLOR_BLOCKS[j, 1:], powers[:-1].reshape(_TAYLOR_POWERS - 1, -1), out=inc.reshape(-1))
             inc.reshape(-1)[:: dim + 1] += _TAYLOR_BLOCKS[j, 0]
             inc += tmp
             if j:
-                _product(powers[-1], inc, tmp)
+                np.matmul(powers[-1], inc, out=tmp)
         for _ in range(squarings):
-            _product(inc, inc, tmp)
+            np.matmul(inc, inc, out=tmp)
             inc *= 2.0
             inc += tmp
         inc.reshape(-1)[:: dim + 1] += 1.0
@@ -264,7 +267,7 @@ def _krylov_propagate(rhs, out: np.ndarray, spacing: float) -> None:
             np.divide(w, norm, out=basis[m])
         check_from = m
         if len(passed):
-            _product(beta * passed, done, out[i + 1 : i + 1 + len(passed)])
+            np.matmul(beta * passed, done, out=out[i + 1 : i + 1 + len(passed)])
             i += len(passed)
             y, tau = out[i], spacing
             continue
@@ -280,11 +283,12 @@ def _krylov_propagate(rhs, out: np.ndarray, spacing: float) -> None:
 def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Exact flow y <- e^{L spacing} y of a linear autonomous derivative ``rhs``, at every grid time.
 
-    Up to ``_DENSE_MAX_DIM`` the callback is probed once per basis vector,
-    the interval map e^{L spacing} is formed once and each sample is one
-    product with it; beyond it :func:`_krylov_propagate` takes Krylov steps,
-    each spanning as many sample intervals as its error estimate allows.
-    Returns an array of shape (n_samples, len(y0)).
+    ``rhs`` maps a (D,) state or a (k, D) stack of states to its derivatives.
+    Up to ``_DENSE_MAX_DIM`` it is called once on the identity stack, the
+    interval map e^{L spacing} is formed once and each sample is one product
+    with it; beyond it :func:`_krylov_propagate` takes Krylov steps, each
+    spanning as many sample intervals as its error estimate allows.  Returns
+    an array of shape (n_samples, len(y0)).
     """
     y = np.asarray(y0, dtype=float)
     out = np.empty((grid.n_samples, y.size))
@@ -293,7 +297,7 @@ def expm_propagate(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     # engines' stack checks, never reported as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if y.size <= _DENSE_MAX_DIM:
-            generator = np.column_stack([rhs(e) for e in np.eye(y.size)])
+            generator = rhs(np.eye(y.size)).T  # row i of the probe is L e_i
             generator *= grid.spacing
             interval = _expm(generator)
             for i in range(grid.n_samples - 1):

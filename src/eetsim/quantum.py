@@ -55,11 +55,12 @@ def _lindblad_rhs(model: AggregateModel):
     v = model.coupling.astype(complex)
 
     # The flat real state interleaves re/im (a complex matrix viewed as
-    # floats), so packing and unpacking are zero-copy views.
+    # floats), so packing and unpacking are zero-copy views; a (k, 2 N^2)
+    # stack of states gives the k derivatives as rows.
     def rhs(y: np.ndarray) -> np.ndarray:
-        rho = y.view(complex).reshape(n, n)
+        rho = y.view(complex).reshape(y.shape[:-1] + (n, n))
         drho = factor * rho - 1j * (v @ rho - rho @ v)
-        return drho.view(float).ravel()
+        return drho.view(float).reshape(y.shape)
 
     return rhs
 

@@ -35,9 +35,9 @@ def test_first_zero_of_j0():
 
 
 def test_series_miller_consistency():
-    # both routes stay consistent in an overlap region around the switch
-    # point; the series slowly loses digits to cancellation as x grows
-    for x in (10.0, 12.5, 14.0):
+    # both routes stay consistent around the switch point x = 3 and beyond;
+    # the series slowly loses digits to cancellation as x grows
+    for x in (2.5, 3.0, 3.5, 10.0, 12.5, 14.0):
         for n in range(0, 20):
             assert abs(_bessel_j_series(n, x) - _bessel_j_miller(n, x)) < 5e-12
 
@@ -73,3 +73,18 @@ def test_population_bounds():
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         chain_bessel_populations(1.0, 0, -0.1)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 1.5, 1.6, 4.0, 6.0, 13.9, 250.0, 5000.0])
+def test_populations_of_all_sites_at_once(t):
+    # the 29-site chain's offsets -14..14 in one call: one recurrence for
+    # every order, against one bessel_j per site and against scipy
+    v = 1.0
+    offsets = np.arange(29) - 14
+    populations = chain_bessel_populations(v, offsets, t)
+    assert populations.shape == offsets.shape
+    one_by_one = np.array([bessel_j(int(k), 2.0 * v * t) ** 2 for k in offsets])
+    assert np.abs(populations - one_by_one).max() <= 1e-15
+    assert np.abs(np.sqrt(populations) - np.abs(special.jv(offsets, 2.0 * v * t))).max() <= 1e-12
+    single = chain_bessel_populations(v, 3, t)
+    assert isinstance(single, float) and abs(single - populations[17]) <= 1e-15

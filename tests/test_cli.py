@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eetsim
 from eetsim.cli import ENSEMBLE_WORK_BUDGET, main
 from eetsim.integrate import TimeGrid, ensemble_work
 from eetsim.scenarios import fmo_model_path, make_chain
@@ -450,6 +454,41 @@ class TestRun:
                        "--engines", "lindblad", "--grid", "0:1:6")
         assert code == 0
         assert (tmp_path / "envdir" / "lindblad.csv").exists()
+
+
+class TestReproducibility:
+    """The README's FMO run in fresh interpreters, under one and the default number of BLAS threads.
+
+    OpenBLAS may split a gemm of the dense path (flat dimension 105 for the
+    classical run) differently with one thread than with several, so the
+    bytes depend on the thread count; the values agree to rounding.
+    """
+
+    @staticmethod
+    def _run_fmo(out: Path, threads) -> dict:
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
+        src = str(Path(eetsim.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "eetsim.cli", "run", "--model", str(fmo_model_path()),
+             "--engines", "lindblad,classical", "--grid", "0:1:101", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        return {name: (out / f"{name}.csv").read_bytes() for name in ("lindblad", "classical")}
+
+    def test_readme_fmo_run(self, tmp_path):
+        single = self._run_fmo(tmp_path / "single", 1)
+        default = self._run_fmo(tmp_path / "default", None)
+        again = self._run_fmo(tmp_path / "again", None)
+        assert again == default
+        for name in single:
+            a = read_timeseries(tmp_path / "single" / f"{name}.csv")
+            b = read_timeseries(tmp_path / "default" / f"{name}.csv")
+            assert a.channels.keys() == b.channels.keys()
+            assert all(np.abs(a.channels[k] - b.channels[k]).max() <= 1e-13 for k in a.channels)
 
 
 class TestCompare:

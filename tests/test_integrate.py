@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +19,16 @@ from eetsim.integrate import (
     resolve_step,
 )
 from eetsim.quantum import _lindblad_rhs, _pack_density
+
+
+def _fmo_engine(shift, engine):
+    """Derivative callback and initial flat state of an engine on FMO, shifted by ``shift`` cm^-1."""
+    doc = json.loads(fmo_model_path().read_text())
+    doc["shift"] = shift
+    model, init = load_model(doc)
+    if engine == "lindblad":
+        return _lindblad_rhs(model), _pack_density(init.rho.data)
+    return _rst_rhs(model, quantum=engine == "quantum-rst"), initial_rst_pure(init.amplitudes).pack()
 
 
 def _chain_engine(n_sites, epsilon, engine):
@@ -131,7 +143,7 @@ class TestExactFlow:
         y0 = rng.normal(size=4)
         monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", max_dim)
         grid = TimeGrid(0.0, 1.0, 5)
-        out = expm_propagate(lambda y: a @ y, y0, grid)
+        out = expm_propagate(lambda y: y @ a.T, y0, grid)  # a state or a stack of states as rows
         exact = np.array([scipy.linalg.expm(a * t) @ y0 for t in grid.times])
         assert np.abs(out - exact).max() <= 1e-13 * np.abs(exact).max()
 
@@ -166,13 +178,7 @@ class TestKrylov:
     def test_matches_dense_on_fmo(self, monkeypatch, engine):
         # realistic FMO energies: each 0.01 interval turns the classical
         # on-site terms by about 45 rad, so the Krylov path must split it
-        model, init = load_model(fmo_model_path())
-        if engine == "lindblad":
-            rhs = _lindblad_rhs(model)
-            y0 = _pack_density(init.rho.data)
-        else:
-            rhs = _rst_rhs(model, quantum=False)
-            y0 = initial_rst_pure(init.amplitudes).pack()
+        rhs, y0 = _fmo_engine(0.0, engine)
         grid = TimeGrid(0.0, 0.2, 21)
         assert y0.size <= eetsim.integrate._DENSE_MAX_DIM
         dense = expm_propagate(rhs, y0, grid)
@@ -300,23 +306,68 @@ class TestKrylov:
 class TestDenseOrCallback:
     @pytest.mark.parametrize("dim", [12, 601])
     def test_rhs_calls_pin_the_choice(self, dim):
-        # up to the threshold: one probe per basis vector, then matrix
-        # products only; above it: Krylov products and no probes.  The basis
-        # of -0.1 I breaks down at one vector, which spans the whole grid, so
-        # one call in all
+        # up to the threshold: one probe of the whole identity stack, then
+        # matrix products only; above it: Krylov products and no probes.  The
+        # basis of -0.1 I breaks down at one vector, which spans the whole
+        # grid, so one call either way
         a = -0.1 * np.eye(dim)
         calls = []
 
         def rhs(y):
             calls.append(y.copy())
-            return a @ y
+            return y @ a.T
 
         grid = TimeGrid(0.0, 1.0, 4)
         out = expm_propagate(rhs, np.ones(dim), grid)
         assert np.abs(out - np.exp(-0.1 * grid.times)[:, None]).max() <= 1e-14
+        assert len(calls) == 1
         if dim <= eetsim.integrate._DENSE_MAX_DIM:
-            assert len(calls) == dim
-            assert np.array_equal(np.array(calls), np.eye(dim))
+            assert np.array_equal(calls[0], np.eye(dim))
         else:
-            assert len(calls) == 1
-            assert np.allclose(np.array(calls), dim**-0.5, rtol=0.0, atol=1e-15)
+            assert np.allclose(calls[0], dim**-0.5, rtol=0.0, atol=1e-15)
+
+
+class TestDenseProbe:
+    @pytest.mark.parametrize("engine", ["lindblad", "quantum-rst", "classical-rst"])
+    def test_one_call_equals_stacked_derivatives(self, engine):
+        # the identity stack in one call gives, row for row, the bytes of one
+        # call per basis vector
+        rhs, y0 = _fmo_engine(0.0, engine)
+        basis = np.eye(y0.size)
+        assert np.array_equal(rhs(basis), np.stack([rhs(e) for e in basis]))
+
+    @pytest.mark.parametrize("engine", ["lindblad", "classical"])
+    @pytest.mark.parametrize("shift", [0.0, -12000.0], ids=["realistic", "shifted"])
+    def test_fmo_matches_scipy(self, engine, shift):
+        # the README's FMO grid: 100 products with the interval map, checked
+        # at every tenth sample
+        rhs, y0 = _fmo_engine(shift, engine)
+        assert y0.size <= eetsim.integrate._DENSE_MAX_DIM
+        generator = np.column_stack([rhs(e) for e in np.eye(y0.size)])
+        grid = TimeGrid(0.0, 1.0, 101)
+        out = expm_propagate(rhs, y0, grid)[::10]
+        exact = np.array([scipy.linalg.expm(generator * t) @ y0 for t in grid.times[::10]])
+        assert np.abs(out - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("engine", ["lindblad", "classical"])
+    def test_peak_memory_at_17_sites(self, engine):
+        # the 17-site chain, flat dimension 578 (Lindblad) and 595 (classical),
+        # just below the dense threshold: the peak is _expm's six D x D arrays,
+        # the generator and the sampled output; probing the identity stack in
+        # one call must not add to it
+        model, init = make_chain(17, 1.0, 40.0, 1.0, 8)
+        grid = TimeGrid(0.0, 10.0, 201)
+        if engine == "lindblad":
+            run, dim = lambda: eetsim.propagate_lindblad(model, init.rho, grid), 2 * 17**2
+        else:
+            rst0 = initial_rst_pure(init.amplitudes)
+            run, dim = lambda: eetsim.propagate_classical_rst(model, rst0, grid), 17 * 35
+        assert dim <= eetsim.integrate._DENSE_MAX_DIM
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * dim * dim * 8
