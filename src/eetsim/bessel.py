@@ -40,17 +40,23 @@ def _bessel_j_series(order: int, x: float) -> float:
     return total
 
 
+def _recurrence_steps(order: int, x: float) -> float:
+    """Steps of the downward recurrence that yields J_0, ..., J_order at x >= 0: its even start order.
+
+    The tail beyond m = x is about x^(1/3) orders wide: starting 30 + 3 x^(1/3)
+    orders past x left errors of 1e-10 at x = 500 and 2e-7 at x = 1e4;
+    30 + 10 x^(1/3) leaves 2e-16 up to x = 2e4.  Infinite for an infinite x.
+    """
+    start = max(order, np.floor(x)) + 30 + np.floor(10.0 * x ** (1.0 / 3.0))
+    return float(2.0 * np.ceil(0.5 * start))
+
+
 def _bessel_j_miller_orders(order: int, x: float) -> list[float]:
     # Downward recurrence J_{m-1} = (2m/x) J_m - J_{m+1}, started deep enough
     # in the exponentially decaying tail that the seed error is negligible,
     # then normalized with 1 = J_0 + 2 * sum_{k>=1} J_{2k}; keeps J_order,
-    # ..., J_0 on the way down and returns them as J_0, ..., J_order.  The
-    # tail beyond m = x is about x^(1/3) orders wide: starting 30 + 3 x^(1/3)
-    # orders past x left errors of 1e-10 at x = 500 and 2e-7 at x = 1e4;
-    # 30 + 10 x^(1/3) leaves 2e-16 up to x = 2e4.
-    start = max(order, int(x)) + 30 + int(10.0 * x ** (1.0 / 3.0))
-    if start % 2:
-        start += 1
+    # ..., J_0 on the way down and returns them as J_0, ..., J_order.
+    start = int(_recurrence_steps(order, x))
     jp = 0.0  # J_{m+1}
     jc = 1e-30  # J_m, unnormalized
     kept = []  # start exceeds order
@@ -70,10 +76,6 @@ def _bessel_j_miller_orders(order: int, x: float) -> list[float]:
     return [k / norm for k in reversed(kept)]
 
 
-def _bessel_j_miller(order: int, x: float) -> float:
-    return _bessel_j_miller_orders(order, x)[order]
-
-
 def bessel_j(order: int, x: float) -> float:
     """J_n(x) for integer n (negative orders via the reflection rule)."""
     n = int(order)
@@ -88,7 +90,7 @@ def bessel_j(order: int, x: float) -> float:
         return 1.0 if n == 0 else 0.0
     if x <= _SERIES_LIMIT:
         return _bessel_j_series(n, x)
-    return _bessel_j_miller(n, x)
+    return _bessel_j_miller_orders(n, x)[n]
 
 
 def chain_bessel_populations(v: float, site_offset, t: float):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bessel import chain_bessel_populations
+from .bessel import _recurrence_steps, chain_bessel_populations
 from .classical import initial_rst_mixed, initial_rst_pure, propagate_classical_rst
 from .errors import EetsimError, ValidationError
 from .integrate import TimeGrid, ensemble_work
@@ -47,6 +47,8 @@ DEFAULT_NTRAJ = 10_000
 #: at about 9e-8 s per update on a 2-core x86-64 host, 10^10 is a quarter of
 #: an hour; the README's ensembles need at most 5.8e8.
 ENSEMBLE_WORK_BUDGET = 10**10
+#: bessel requests of more recurrence steps are refused: at about 0.35 us per step, a quarter of an hour.
+BESSEL_WORK_BUDGET = 25 * 10**8
 #: A classical or kubo run warns when its norm_factor (the trace divided
 #: out of sigma, 1 at t = 0) exceeds this: the oscillators are blowing up,
 #: and the normalized output means little.
@@ -105,10 +107,13 @@ def _parse_grid(text: str, dt: float | None) -> TimeGrid:
         t0, t1, n = float(fields[0]), float(fields[1]), int(fields[2])
     except ValueError:
         raise _ConfigError(f"--grid: bad field in {text!r}")
+    flag = "--grid"
     try:
+        TimeGrid(t0, t1, n)
+        flag = "--dt"  # the grid holds, so only dt_integrate is left to refuse
         return TimeGrid(t0, t1, n, dt_integrate=dt)
     except ValidationError as exc:
-        raise _ConfigError(f"--grid: {exc}")
+        raise _ConfigError(f"{flag}: {exc}")
 
 
 def _build_scenario(args):
@@ -125,10 +130,7 @@ def _build_scenario(args):
             p["gamma"] = args.gamma
         model, initial = make_chain(n_sites, p["v"], p["eps"], p["gamma"], p["start"])
         return model, initial, {"v": p["v"], "start": p["start"], "n_sites": n_sites}
-    doc = _read_document(args.model, args.shift)
-    if args.gamma is not None:
-        doc["gamma"] = args.gamma  # file units, converted with the rest of the file
-    model, initial = _model_from_document(doc, args.model)
+    model, initial = _model_from_document(_read_document(args.model), args.model, args.shift, args.gamma)
     return model, initial, None
 
 
@@ -138,12 +140,19 @@ def _check_engines(engines, model, initial, chain, grid, args) -> None:
         if engine not in ENGINES:
             raise _ConfigError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
     for engine in engines:
-        if engine == "bessel" and chain is None:
-            raise _ConfigError("engine 'bessel' requires a --chain scenario")
-        if engine == "bessel" and float(model.gamma.max()) != 0.0:
-            raise _ConfigError("engine 'bessel' requires gamma=0")
-        if engine == "bessel" and grid.t_start < 0.0:
-            raise _ConfigError(f"engine 'bessel' requires t_start >= 0, got {grid.t_start}")
+        if engine == "bessel":
+            if chain is None:
+                raise _ConfigError("engine 'bessel' requires a --chain scenario")
+            if float(model.gamma.max()) != 0.0:
+                raise _ConfigError("engine 'bessel' requires gamma=0")
+            if grid.t_start < 0.0:
+                raise _ConfigError(f"engine 'bessel' requires t_start >= 0, got {grid.t_start}")
+            order = max(chain["start"], chain["n_sites"] - 1 - chain["start"])  # the farthest site
+            ends = [_recurrence_steps(order, 2.0 * abs(chain["v"] * t)) for t in (grid.t_start, grid.t_end)]
+            steps = grid.n_samples * sum(ends) / 2  # one recurrence per time, its steps about linear in t
+            if steps > BESSEL_WORK_BUDGET:
+                raise _ConfigError(f"engine 'bessel': {steps:.2e} recurrence steps exceed the budget of "
+                                   f"{BESSEL_WORK_BUDGET:.1e}; reduce the grid")
         if engine in ("sse", "kubo") and not initial.is_pure:
             raise _ConfigError(f"engine {engine!r} needs a pure initial state")
         if engine in ("sse", "kubo") and args.ntraj < 1:
@@ -186,8 +195,6 @@ def cmd_run(args) -> int:
         if not engines:
             raise _ConfigError("--engines: need at least one engine")
         _check_engines(engines, model, initial, chain, grid, args)
-        if args.format not in ("csv", "json"):
-            raise _ConfigError("--format must be csv or json")
         out_dir = Path(args.out)
         created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
     except (_ConfigError, OSError, EetsimError) as exc:
@@ -292,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", default="0:10:201", help="t_start:t_end:n_samples")
     run.add_argument("--dt", type=float, default=None,
                      help="substep of the sse and kubo ensembles, which refuse one too coarse for the "
-                          "model's splitting rate (the eps spread, gamma and 2|V|); the other "
-                          "engines take no step")
+                          "model's splitting rate (the eps spread, gamma and 2|V|); it must be positive "
+                          "and at most the sample spacing for every engine, but the others take no step")
     run.add_argument("--ntraj", type=int, default=DEFAULT_NTRAJ, help="ensemble size")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed for ensembles")
-    run.add_argument("--format", default="csv", help="csv or json")
+    run.add_argument("--format", default="csv", choices=("csv", "json"), help="output file format")
     run.add_argument("--out", default=os.environ.get("EETSIM_OUTDIR", "."),
                      help="output directory (default: $EETSIM_OUTDIR or .)")
     run.set_defaults(func=cmd_run)

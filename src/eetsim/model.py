@@ -81,13 +81,8 @@ class AggregateModel:
         return self.epsilon.shape[0]
 
     def with_shifted_energies(self, delta: float) -> "AggregateModel":
-        """Return a copy with every site energy shifted by ``delta``."""
-        return AggregateModel(
-            epsilon=self.epsilon + delta,
-            coupling=self.coupling,
-            gamma=self.gamma,
-            units=self.units,
-        )
+        """Return a copy with every site energy shifted by ``delta``, checked by :func:`build_aggregate`."""
+        return build_aggregate(self.epsilon + delta, self.coupling, self.gamma, self.units)
 
 
 def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V") -> AggregateModel:
@@ -102,39 +97,35 @@ def build_aggregate(epsilon, coupling, gamma, units: str = "dimensionless-in-V")
     DimensionMismatch, AsymmetricCoupling, NegativeRate, ValidationError
     """
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float)).copy()
-    v = np.asarray(coupling, dtype=float).copy()
-    gam = np.asarray(gamma, dtype=float)
+    v = np.array(coupling, dtype=float)
+    gam = np.array(gamma, dtype=float)
     if gam.ndim == 0:
         gam = np.full(eps.shape, float(gam))
-    gam = gam.copy()
 
     n = eps.shape[0]
     if n < 1:
         raise DimensionMismatch("model needs at least one site")
     if eps.ndim != 1:
         raise DimensionMismatch(f"epsilon must be a vector, got shape {eps.shape}")
-    if v.ndim != 2 or v.shape != (n, n):
+    if v.shape != (n, n):
         raise DimensionMismatch(f"coupling must be {n}x{n}, got shape {v.shape}")
     if gam.shape != (n,):
         raise DimensionMismatch(f"gamma must have length {n}, got shape {gam.shape}")
-    if not np.all(np.isfinite(eps)):
-        raise ValidationError("epsilon contains non-finite values")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("coupling contains non-finite values")
-    if not np.all(np.isfinite(gam)):
-        raise ValidationError("gamma contains non-finite values")
+    for name, arr in (("epsilon", eps), ("coupling", v), ("gamma", gam)):
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} contains non-finite values")
     if np.any(gam < 0.0):
         raise NegativeRate(f"gamma must be non-negative, got min {gam.min()}")
     if units not in UNIT_SYSTEMS:
         raise ValidationError(f"unknown unit system {units!r}; expected one of {UNIT_SYSTEMS}")
 
-    # Halves first: a coupling near the float limit must not overflow.
+    # Halves first: a coupling near the float limit must not overflow.  n >= 1, so v is not empty.
     half = 0.5 * v
-    scale = max(1.0, float(np.abs(v).max()) if v.size else 1.0)
-    asym = 2.0 * float(np.abs(half - half.T).max()) if v.size else 0.0
+    scale = max(1.0, float(np.abs(v).max()))
+    asym = 2.0 * float(np.abs(half - half.T).max())
     if asym > _COUPLING_SYMMETRY_TOL * scale:
         raise AsymmetricCoupling(f"coupling asymmetry {asym:.3e} exceeds tolerance")
-    diag = float(np.abs(np.diag(v)).max()) if v.size else 0.0
+    diag = float(np.abs(np.diag(v)).max())
     if diag > _COUPLING_SYMMETRY_TOL * scale:
         raise AsymmetricCoupling(f"coupling diagonal must be zero, max |V_nn| = {diag:.3e}")
 
@@ -282,8 +273,7 @@ def rca_check(model: AggregateModel, threshold: float = 0.1) -> RcaReport:
             verdict="fail",
             reason="non-positive transition frequency",
         )
-    vmax_per_row = np.abs(model.coupling).max(axis=1) if model.n_sites > 1 else np.zeros(1)
-    ratio_v = float((vmax_per_row / eps).max())
+    ratio_v = float((np.abs(model.coupling).max(axis=1) / eps).max())
     spread = float(eps.max() - eps.min())
     ratio_detune = spread / float(eps.min())
     ratio_gamma = float((model.gamma / eps).max())

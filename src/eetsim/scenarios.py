@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    EetsimError,
     IndexOutOfRange,
     NonPositiveFrequency,
     ParseError,
@@ -76,15 +77,13 @@ def make_chain(
     """
     if n_sites < 1:
         raise ValidationError("chain needs at least one site")
-    if not 0 <= init_site < n_sites:
-        raise IndexOutOfRange(f"init_site {init_site} outside 0..{n_sites - 1}")
     coupling = np.zeros((n_sites, n_sites))
     for k in range(n_sites - 1):
         coupling[k, k + 1] = coupling[k + 1, k] = v
     model = build_aggregate(
         epsilon=np.full(n_sites, float(epsilon)),
         coupling=coupling,
-        gamma=np.full(n_sites, float(gamma)),
+        gamma=float(gamma),
         units="dimensionless-in-V",
     )
     return model, localized_state(n_sites, init_site)
@@ -168,8 +167,8 @@ def _parse_initial(doc_initial, n: int) -> InitialState:
     raise ParseError("initial_state: expected one of 'site', 'amplitudes', 'mixture'")
 
 
-def _read_document(path, extra_shift: float = 0.0) -> dict:
-    """Parse a model file; a non-zero ``extra_shift`` is added to its ``shift``."""
+def _read_document(path) -> dict:
+    """Parse a model file into its JSON object."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -179,8 +178,6 @@ def _read_document(path, extra_shift: float = 0.0) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    if extra_shift:
-        doc["shift"] = _floats(doc.get("shift", 0.0), f"{path}: shift", scalar=True) + extra_shift
     return doc
 
 
@@ -205,57 +202,60 @@ def load_model(source) -> tuple[AggregateModel, InitialState]:
     return _model_from_document(_read_document(source), source)
 
 
-def _model_from_document(doc: dict, origin) -> tuple[AggregateModel, InitialState]:
-    """The model and initial state of a parsed document; errors name ``origin``."""
+def _model_from_document(doc: dict, origin, shift: float = 0.0,
+                         gamma: float | None = None) -> tuple[AggregateModel, InitialState]:
+    """The model and initial state of a parsed document; any error is raised again with ``origin`` in front.
+
+    ``shift`` adds to the document's ``shift``, and ``gamma`` replaces its ``gamma``, in file units.
+    """
     try:
-        sites = doc["sites"]
-        couplings_raw = doc["couplings"]
-        gamma_raw = doc["gamma"]
-        units = doc["units"]
-        initial_raw = doc["initial_state"]
-    except KeyError as exc:
-        raise ParseError(f"{origin}: missing key {exc}") from exc
+        try:
+            sites = doc["sites"]
+            couplings_raw = doc["couplings"]
+            gamma_raw = doc["gamma"] if gamma is None else gamma
+            units = doc["units"]
+            initial_raw = doc["initial_state"]
+        except KeyError as exc:
+            raise ParseError(f"missing key {exc}") from exc
 
-    if units not in ("V", "cm-1"):
-        raise ParseError(f"{origin}: units must be 'V' or 'cm-1', got {units!r}")
-    if not isinstance(sites, list) or not sites:
-        raise ParseError(f"{origin}: sites must be a non-empty list")
-    n = len(sites)
-    energies = _floats([s.get("energy") if isinstance(s, dict) else None for s in sites],
-                       f"{origin}: sites[*].energy")
+        if units not in ("V", "cm-1"):
+            raise ParseError(f"units must be 'V' or 'cm-1', got {units!r}")
+        if not isinstance(sites, list) or not sites:
+            raise ParseError("sites must be a non-empty list")
+        n = len(sites)
+        energies = _floats([s.get("energy") if isinstance(s, dict) else None for s in sites],
+                           "sites[*].energy")
 
-    shift = _floats(doc.get("shift", 0.0), f"{origin}: shift", scalar=True)
-    energies = energies + shift
+        shift = _floats(doc.get("shift", 0.0), "shift", scalar=True) + shift
+        energies = energies + shift
 
-    if isinstance(couplings_raw, list) and couplings_raw and isinstance(couplings_raw[0], dict):
-        coupling = np.zeros((n, n))
-        for k, entry in enumerate(couplings_raw):
-            key = f"{origin}: couplings[{k}]"
-            entry = entry if isinstance(entry, dict) else {}
-            i, j = _index(entry.get("i"), f"{key}.i", n), _index(entry.get("j"), f"{key}.j", n)
-            if i == j:
-                raise ParseError(f"{key}: bad site pair ({i}, {j})")
-            coupling[i, j] = coupling[j, i] = _floats(entry.get("value"), f"{key}.value", scalar=True)
-    else:
-        coupling = _floats(couplings_raw, f"{origin}: couplings")
-        if coupling.shape != (n, n):
-            raise ParseError(f"{origin}: coupling matrix must be {n}x{n}")
+        if isinstance(couplings_raw, list) and couplings_raw and isinstance(couplings_raw[0], dict):
+            coupling = np.zeros((n, n))
+            for k, entry in enumerate(couplings_raw):
+                key = f"couplings[{k}]"
+                entry = entry if isinstance(entry, dict) else {}
+                i, j = _index(entry.get("i"), f"{key}.i", n), _index(entry.get("j"), f"{key}.j", n)
+                if i == j:
+                    raise ParseError(f"{key}: bad site pair ({i}, {j})")
+                coupling[i, j] = coupling[j, i] = _floats(entry.get("value"), f"{key}.value", scalar=True)
+        else:
+            coupling = _floats(couplings_raw, "couplings")
+            if coupling.shape != (n, n):
+                raise ParseError(f"coupling matrix must be {n}x{n}")
 
-    gamma = _floats(gamma_raw, f"{origin}: gamma")
-    if gamma.ndim == 0:
-        gamma = np.full(n, gamma)
+        gamma = _floats(gamma_raw, "gamma")
 
-    if units == "cm-1":
-        if np.any(energies <= 0.0):
-            raise NonPositiveFrequency(
-                f"{origin}: site energies must stay positive in cm^-1 (after shift {shift})"
-            )
-        energies = convert_energy(energies)
-        coupling = convert_energy(coupling)
-        gamma = convert_energy(gamma)
-        model_units = "wavenumber"
-    else:
-        model_units = "dimensionless-in-V"
+        if units == "cm-1":
+            if np.any(energies <= 0.0):
+                raise NonPositiveFrequency(f"site energies must stay positive in cm^-1 (after shift {shift})")
+            energies = convert_energy(energies)
+            coupling = convert_energy(coupling)
+            gamma = convert_energy(gamma)
+            model_units = "wavenumber"
+        else:
+            model_units = "dimensionless-in-V"
 
-    model = build_aggregate(energies, coupling, gamma, units=model_units)
-    return model, _parse_initial(initial_raw, n)
+        model = build_aggregate(energies, coupling, gamma, units=model_units)
+        return model, _parse_initial(initial_raw, n)
+    except EetsimError as exc:
+        raise type(exc)(f"{origin}: {exc}") from exc

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy import special
 
-from eetsim.bessel import _bessel_j_miller, _bessel_j_series, bessel_j, chain_bessel_populations
+from eetsim.bessel import (
+    _bessel_j_miller_orders,
+    _bessel_j_series,
+    _recurrence_steps,
+    bessel_j,
+    chain_bessel_populations,
+)
 
 
 def bisect_series_zero(lo, hi, tol=1e-13):
@@ -39,7 +45,7 @@ def test_series_miller_consistency():
     # the series slowly loses digits to cancellation as x grows
     for x in (2.5, 3.0, 3.5, 10.0, 12.5, 14.0):
         for n in range(0, 20):
-            assert abs(_bessel_j_series(n, x) - _bessel_j_miller(n, x)) < 5e-12
+            assert abs(_bessel_j_series(n, x) - _bessel_j_miller_orders(n, x)[n]) < 5e-12
 
 
 def test_against_scipy_grid():
@@ -88,3 +94,26 @@ def test_populations_of_all_sites_at_once(t):
     assert np.abs(np.sqrt(populations) - np.abs(special.jv(offsets, 2.0 * v * t))).max() <= 1e-12
     single = chain_bessel_populations(v, 3, t)
     assert isinstance(single, float) and abs(single - populations[17]) <= 1e-15
+
+
+@pytest.mark.parametrize("order,x", [(200, 4.0), (100, 3.01)])
+def test_high_order_rescaled_recurrence(order, x):
+    # J_order is tiny here, so the downward recurrence grows past _RESCALE on its way to J_0
+    assert abs(bessel_j(order, x) - special.jv(order, x)) <= 1e-16
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_populations_far_beyond_the_argument(t):
+    # offsets up to 300 at 2vt = 2 (series) and 4 (one rescaled recurrence)
+    offsets = np.arange(-300, 301)
+    populations = chain_bessel_populations(1.0, offsets, t)
+    assert np.abs(populations - special.jv(offsets, 2.0 * t) ** 2).max() <= 1e-16
+
+
+def test_recurrence_steps_is_the_even_start_order():
+    # max(order, x) + 30 + 10 x^(1/3), rounded up to even; infinite for an infinite argument
+    assert _recurrence_steps(14, 0.0) == 44.0
+    assert _recurrence_steps(14, 12.0) == 66.0
+    assert _recurrence_steps(14, 1e4) == 10246.0
+    assert _recurrence_steps(300, 4.0) == 346.0
+    assert _recurrence_steps(0, float("inf")) == float("inf")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eetsim
-from eetsim.cli import ENSEMBLE_WORK_BUDGET, main
+import eetsim.cli
+from eetsim.cli import (
+    ENSEMBLE_WORK_BUDGET,
+    _build_scenario,
+    _check_engines,
+    _ConfigError,
+    _parse_grid,
+    build_parser,
+    main,
+)
 from eetsim.integrate import TimeGrid, ensemble_work
 from eetsim.scenarios import fmo_model_path, make_chain
 from eetsim.timeseries import read_timeseries
@@ -340,6 +350,46 @@ class TestRun:
         model, _ = make_chain(n_sites, 1.0, eps, 1.0, 0)
         assert 0 < 10 * ensemble_work(model, grid, 10_000) <= ENSEMBLE_WORK_BUDGET
 
+    @pytest.mark.parametrize("chain,grid,refused", [
+        ("29,V=1,eps=0,gamma=0,start=14", "0:6:121", None),  # README: 6.66e3 steps
+        ("29,V=1,eps=0,gamma=0,start=14", "0:5000:100001", None),  # 5.15e8 steps, about 3.5 min
+        ("29,V=1,eps=0,gamma=0,start=14", "0:50000:1000001", "5.03e+10"),
+        ("3,V=1e300,eps=0,gamma=0", "0:1e10:3", "inf"),  # 2 V t overflows
+    ], ids=["readme", "100k-samples", "1m-samples", "overflowing-argument"])
+    def test_bessel_budget(self, chain, grid, refused):
+        # the estimate alone decides; no grid here is run
+        args = build_parser().parse_args(["run", "--chain", chain, "--engines", "bessel",
+                                          "--grid", grid])
+        model, initial, chain_params = _build_scenario(args)
+        refusal = re.escape(f"engine 'bessel': {refused} recurrence steps")
+        expected = contextlib.nullcontext() if refused is None else pytest.raises(_ConfigError, match=refusal)
+        with expected:
+            _check_engines(["bessel"], model, initial, chain_params, _parse_grid(args.grid, args.dt), args)
+
+    def test_runaway_bessel_refused(self, tmp_path, capsys, monkeypatch):
+        # the README grid against a budget below its estimate: one line, before --out is made
+        monkeypatch.setattr(eetsim.cli, "BESSEL_WORK_BUDGET", 6000)
+        out = tmp_path / "out"
+        code = run_cli("run", "--chain", "29,V=1,eps=0,gamma=0,start=14", "--engines", "lindblad,bessel",
+                       "--grid", "0:6:121", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["eetsim: error: engine 'bessel': 6.66e+03 recurrence "
+                                                        "steps exceed the budget of 6.0e+03; reduce the grid"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt,reason", [
+        ("0.5", "dt_integrate exceeds the sample spacing"),
+        ("0", "dt_integrate must be positive"),
+    ])
+    def test_out_of_range_dt_names_dt(self, tmp_path, capsys, dt, reason):
+        # checked for every engine, though only sse and kubo take a step
+        out = tmp_path / "out"
+        code = run_cli("run", "--chain", "3,V=1,eps=1,gamma=1", "--engines", "lindblad", "--grid", "0:1:5",
+                       "--dt", dt, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"eetsim: error: --dt: {reason}"]
+        assert not out.exists()
+
     def test_mixed_initial_rejects_sse(self, tmp_path):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(MIXED_DIMER))
@@ -412,14 +462,38 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("eetsim: error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc,message", [
+        (dict(PURE_DIMER, couplings=[[0.0, 0.2], [0.2]]),
+         "couplings: expected a number or a regular list of numbers"),
+        (dict(PURE_DIMER, gamma=-0.1), "gamma must be non-negative, got min -0.1"),
+        (dict(PURE_DIMER, gamma=float("nan")), "gamma contains non-finite values"),
+        (dict(PURE_DIMER, couplings=[[0.0, float("inf")], [float("inf"), 0.0]]),
+         "coupling contains non-finite values"),
+        (dict(PURE_DIMER, sites=[{"label": f"s{k}", "energy": 1.0} for k in range(7)],
+              couplings=[[1.0 if (i, j) == (0, 1) else 0.0 for j in range(7)] for i in range(7)]),
+         "coupling asymmetry 1.000e+00 exceeds tolerance"),
+        (dict(PURE_DIMER, gamma=[0.1, 0.1, 0.1]), "gamma must have length 2, got shape (3,)"),
+        (dict(PURE_DIMER, initial_state={"mixture": [{"weight": 0.5, "amplitudes": [1.0, 0.0]},
+                                                     {"weight": 0.4, "amplitudes": [0.0, 1.0]}]}),
+         "mixture weights sum to 0.9, expected 1"),
+        (dict(PURE_DIMER, initial_state=[0]), "initial_state: expected an object"),
+        (dict(PURE_DIMER, initial_state={"amplitudes": [1.0]}),
+         "initial_state.amplitudes: amplitudes must be a list of 2 entries"),
+        (dict(PURE_DIMER, initial_state={"site": 2}),
+         "initial_state.site: expected a site index in 0..1, got 2"),
+    ], ids=["ragged-couplings", "negative-gamma", "nan-gamma", "infinite-coupling", "asymmetric-7x7",
+            "gamma-length", "mixture-weights", "initial-state-not-object", "amplitude-count",
+            "site-out-of-range"])
     @pytest.mark.parametrize("command", ["run", "rca"])
-    def test_model_file_error_names_the_file(self, tmp_path, capsys, command):
-        path = tmp_path / "ragged.json"
-        path.write_text(json.dumps(dict(PURE_DIMER, couplings=[[0.0, 0.2], [0.2]])))
-        extra = ["--engines", "lindblad", "--out", str(tmp_path / "out")] if command == "run" else []
+    def test_model_file_error_names_the_file(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))  # NaN and infinities as JSON's extensions
+        out = tmp_path / "out"
+        extra = ["--engines", "lindblad", "--out", str(out)] if command == "run" else []
         assert run_cli(command, "--model", str(path), *extra) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"eetsim: error: {path}: couplings: expected a number or a regular list of numbers"]
+        assert err == [f"eetsim: error: {path}: {message}"]
+        assert not out.exists()
 
     def test_coupling_asymmetry_overflow_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "model.json"

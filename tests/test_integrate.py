@@ -7,9 +7,16 @@ import pytest
 import scipy.linalg
 
 import eetsim.integrate
-from eetsim import build_aggregate, initial_rst_pure, load_model, fmo_model_path, make_chain
-from eetsim.classical import _rst_rhs
-from eetsim.errors import EetsimError, StepTooLarge, ValidationError
+from eetsim import (
+    build_aggregate,
+    fmo_model_path,
+    initial_rst_pure,
+    load_model,
+    make_chain,
+    propagate_classical_rst,
+)
+from eetsim.classical import RstState, _rst_rhs
+from eetsim.errors import EetsimError, NormCollapse, StepTooLarge, ValidationError
 from eetsim.integrate import (
     TimeGrid,
     _expm,
@@ -185,6 +192,26 @@ class TestKrylov:
         monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
         krylov = expm_propagate(rhs, y0, grid)
         assert np.abs(krylov - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_zero_state_stays_zero(self):
+        # 18 sites: the classical moment state (D = 666) takes the Krylov path
+        rhs, y0 = _chain_engine(18, 40.0, "classical")
+        assert y0.size == 666 > eetsim.integrate._DENSE_MAX_DIM
+        out = expm_propagate(rhs, np.zeros_like(y0), TimeGrid(0.0, 1.0, 4))
+        assert out.shape == (4, 666) and not out.any()
+
+    def test_zero_classical_state_collapses(self):
+        model, _ = make_chain(18, 1.0, 40.0, 1.0, 0)
+        zero = np.zeros((18, 18))
+        with pytest.raises(NormCollapse):
+            propagate_classical_rst(model, RstState(zero, zero, zero), TimeGrid(0.0, 1.0, 4))
+
+    def test_non_finite_state_refused(self):
+        rhs, y0 = _chain_engine(18, 40.0, "classical")
+        y0[0] = np.nan
+        with pytest.raises(EetsimError, match="state is not finite") as info:
+            expm_propagate(rhs, y0, TimeGrid(0.0, 1.0, 4))
+        assert type(info.value) is EetsimError
 
     def test_split_interval_honours_estimate(self, monkeypatch):
         # a fast rotation with damping: no basis of _KRYLOV_MAX_DIM vectors

@@ -124,6 +124,20 @@ class TestBuildAggregate:
         with pytest.raises(ValueError):
             model.coupling[0, 1] = 2.0
 
+    def test_shifted_model_is_checked_and_immutable(self):
+        model = build_aggregate([1.0, 2.0], [[0, 1], [1, 0]], [0.1, 0.2])
+        shifted = model.with_shifted_energies(-0.5)
+        assert np.array_equal(shifted.epsilon, [0.5, 1.5])
+        assert np.array_equal(shifted.coupling, model.coupling) and np.array_equal(shifted.gamma, model.gamma)
+        for arr in (shifted.epsilon, shifted.coupling, shifted.gamma):
+            with pytest.raises(ValueError):
+                arr[0] = 3.0
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_shift_rejected(self, delta):
+        model = build_aggregate([1.0, 2.0], [[0, 1], [1, 0]], [0.1, 0.2])
+        raises_exactly(ValidationError, model.with_shifted_energies, delta)
+
 
 class TestRcaCheck:
     def test_fig1_chain_passes(self):
