@@ -106,7 +106,7 @@ def chain_bessel_populations(v: float, site_offset, t: float):
     if t < 0.0:
         raise ValueError("time must be non-negative")
     orders = np.abs(np.asarray(site_offset).astype(int))
-    x = abs(2.0 * v * t)  # J_n(-x)^2 = J_n(x)^2
+    x = 2.0 * abs(v * t)  # J_n(-x)^2 = J_n(x)^2; v * t first, so 2 v may overflow where x does not
     if x > _SERIES_LIMIT:
         values = np.array(_bessel_j_miller_orders(int(orders.max()), x))[orders]
     else:

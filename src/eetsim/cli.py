@@ -182,9 +182,9 @@ def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
         ens = run_kubo_ensemble(model, initial.amplitudes, grid, noise, n_traj=args.ntraj)
         return series_from_ensemble(ens, "kubo-ensemble", units=units, normalize=True)
     offsets = np.arange(chain["n_sites"]) - chain["start"]
-    populations = np.array([chain_bessel_populations(chain["v"], offsets, t) for t in grid.times])
-    channels = {f"population:{site}": populations[:, site] for site in range(chain["n_sites"])}
-    return TimeSeries(times=grid.times.copy(), channels=channels, engine="bessel", units=units)
+    table = np.column_stack([grid.times, [chain_bessel_populations(chain["v"], offsets, t) for t in grid.times]])
+    names = [f"population:{site}" for site in range(chain["n_sites"])]
+    return TimeSeries(names, table, engine="bessel", units=units)
 
 
 def cmd_run(args) -> int:

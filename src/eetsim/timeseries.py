@@ -1,16 +1,17 @@
 """Sampled observables, file output, and quantum-vs-classical difference metrics.
 
-A :class:`TimeSeries` holds named channels on a uniform time grid and is the
-unit of exchange between engines, files, and the comparison report.  Channel
-naming convention: ``population:n``, ``coherence_re:n:m`` / ``coherence_im:n:m``
-for ``n < m``, and ``norm_factor`` for the classical engine's trace.
-Coherence magnitudes are derived at comparison time from the stored
-components.
+A :class:`TimeSeries` holds named channels on a uniform time grid as one
+table, the one its CSV file holds, and is the unit of exchange between
+engines, files, and the comparison report.  Channel naming convention:
+``population:n``, ``coherence_re:n:m`` / ``coherence_im:n:m`` for ``n < m``,
+and ``norm_factor`` for the classical engine's trace.  Coherence magnitudes
+are derived at comparison time from the stored components.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,51 +27,65 @@ _POPULATION_SLACK = 1e-9
 
 @dataclass
 class TimeSeries:
-    """Named observable channels sampled on a shared time grid."""
+    """Named observable channels sampled on a shared time grid.
 
-    times: np.ndarray
-    channels: dict[str, np.ndarray]
+    ``table`` is the (n_samples, 1 + len(names)) array of the CSV file: the
+    times in column 0, then one column per name.  ``times`` and ``channels``
+    are views of it.
+    """
+
+    names: list[str]
+    table: np.ndarray
     engine: str = "unknown"
     units: str = "model"
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1:
-            raise ValidationError("times must be a vector")
-        if not np.all(np.isfinite(self.times)):
-            raise ValidationError("times hold a non-finite sample")
-        clean = {}
-        for name, values in self.channels.items():
-            v = np.asarray(values, dtype=float)
-            if v.shape != self.times.shape:
-                raise ValidationError(f"channel {name!r} length {v.shape} != grid {self.times.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError(f"channel {name!r} holds a non-finite sample")
-            if name.startswith("population:") and (
-                np.any(v < -_POPULATION_SLACK) or np.any(v > 1.0 + _POPULATION_SLACK)
-            ):
-                raise ValidationError(f"channel {name!r} outside [0, 1]")
-            clean[name] = v
-        self.channels = clean
+        self.names = list(self.names)
+        self.table = np.asarray(self.table, dtype=float)
+        repeated = Counter(self.names).most_common(1)
+        if repeated and repeated[0][1] > 1:
+            raise ValidationError(f"channel {repeated[0][0]!r} appears more than once")
+        if self.table.ndim != 2 or self.table.shape[1] != 1 + len(self.names):
+            raise ValidationError(f"table of shape {self.table.shape} does not hold t and "
+                                  f"{len(self.names)} channels")
+        finite = np.isfinite(self.table).all(axis=0)
+        population = np.array([False, *(name.startswith("population:") for name in self.names)])
+        outside = ((self.table < -_POPULATION_SLACK) | (self.table > 1.0 + _POPULATION_SLACK)).any(axis=0)
+        bad = ~finite | (population & outside)
+        if bad.any():
+            k = int(np.argmax(bad))
+            name = "t" if k == 0 else self.names[k - 1]
+            problem = "outside [0, 1]" if finite[k] else "holds a non-finite sample"
+            raise ValidationError(f"channel {name!r} {problem}")
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def channels(self) -> dict[str, np.ndarray]:
+        """Each name's column of the table, as a view."""
+        return dict(zip(self.names, self.table[:, 1:].T))
 
     @property
     def n_samples(self) -> int:
-        return self.times.shape[0]
+        return self.table.shape[0]
 
 
-def _density_channels(times, data, engine, units, extra=None) -> TimeSeries:
-    """Channels of an (n_samples, N, N) stack of density matrices."""
-    n = data.shape[-1]
-    channels: dict[str, np.ndarray] = {}
-    for i in range(n):
-        channels[f"population:{i}"] = data[:, i, i].real
-    for i in range(n):
-        for j in range(i + 1, n):
-            channels[f"coherence_re:{i}:{j}"] = data[:, i, j].real
-            channels[f"coherence_im:{i}:{j}"] = data[:, i, j].imag
-    if extra:
-        channels.update(extra)
-    return TimeSeries(times=np.asarray(times, float).copy(), channels=channels, engine=engine, units=units)
+def _density_channels(times, data, engine, units, norms=None) -> TimeSeries:
+    """Series of an (n_samples, N, N) stack of density matrices, plus an optional norm_factor column."""
+    n_samples, n = data.shape[0], data.shape[-1]
+    rows, cols = np.triu_indices(n, 1)
+    flat = data.reshape(n_samples, n * n)
+    # the complex upper triangle, C-ordered, reads as re, im, re, im, ... in the file's column order
+    coherences = flat.take(rows * n + cols, axis=1).view(float)
+    columns = [np.asarray(times, float)[:, None], flat[:, :: n + 1].real, coherences]
+    names = [f"population:{i}" for i in range(n)]
+    names += [f"coherence_{part}:{i}:{j}" for i, j in zip(rows, cols) for part in ("re", "im")]
+    if norms is not None:
+        columns.append(np.asarray(norms, float)[:, None])
+        names.append("norm_factor")
+    return TimeSeries(names, np.concatenate(columns, axis=1), engine=engine, units=units)
 
 
 def series_from_quantum(traj: QuantumTrajectory, units: str = "model") -> TimeSeries:
@@ -80,13 +95,7 @@ def series_from_quantum(traj: QuantumTrajectory, units: str = "model") -> TimeSe
 
 def series_from_classical(traj: ClassicalTrajectory, units: str = "model") -> TimeSeries:
     """Normalized classical observables, including the norm-factor channel."""
-    return _density_channels(
-        traj.grid.times,
-        traj.sigma,
-        "classical-rst",
-        units,
-        extra={"norm_factor": traj.norm_factor.copy()},
-    )
+    return _density_channels(traj.grid.times, traj.sigma, "classical-rst", units, norms=traj.norm_factor)
 
 
 def series_from_ensemble(
@@ -94,11 +103,10 @@ def series_from_ensemble(
 ) -> TimeSeries:
     """Series from an ensemble mean; optionally normalized by its trace per sample."""
     mean = ens.mean_bilinear
-    extra = None
+    norms = None
     if normalize:
         mean, norms = normalize_sigma(mean)
-        extra = {"norm_factor": norms}
-    return _density_channels(ens.grid.times, mean, engine, units, extra=extra)
+    return _density_channels(ens.grid.times, mean, engine, units, norms=norms)
 
 
 def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:
@@ -106,18 +114,16 @@ def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:
 
     Floats are written with 17 significant digits, so a read-back is exact.
     """
-    names = list(series.channels)
     if fmt == "csv":
-        table = np.column_stack([series.times, *(series.channels[n] for n in names)])
         with open(destination, "w", newline="") as fh:
-            np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(["t", *names]),
+            np.savetxt(fh, series.table, fmt="%.17g", delimiter=",", header=",".join(["t", *series.names]),
                        comments="", newline="\r\n")
     elif fmt == "json":
         doc = {
             "engine": series.engine,
             "units": series.units,
             "t": series.times.tolist(),
-            "channels": {n: series.channels[n].tolist() for n in names},
+            "channels": dict(zip(series.names, series.table[:, 1:].T.tolist())),
         }
         with open(destination, "w") as fh:
             json.dump(doc, fh)
@@ -141,26 +147,27 @@ def read_timeseries(source) -> TimeSeries:
                 start = fh.tell()
                 rows = bool(fh.read(1))  # np.loadtxt warns on a header-only file
                 fh.seek(start)
-                body = np.loadtxt(fh, delimiter=",", ndmin=2) if rows else np.zeros((0, len(header)))
+                table = np.loadtxt(fh, delimiter=",", ndmin=2) if rows else np.zeros((0, len(header)))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        if header[0] != "t" or body.shape[1] != len(header):
+        if header[0] != "t" or table.shape[1] != len(header):
             raise ParseError(f"{path}: not a time-series CSV ('t' header over every column)")
-        times, channels, tags = body[:, 0], dict(zip(header[1:], body[:, 1:].T)), {}
+        names, tags = header[1:], {}
     elif fmt == "json":
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            times = np.asarray(doc["t"], dtype=float)
-            channels = {k: np.asarray(v, dtype=float) for k, v in doc["channels"].items()}
+            names = list(doc["channels"])
+            # a scalar t or a channel off the grid makes the rows ragged, which numpy refuses
+            table = np.array([doc["t"], *doc["channels"].values()], dtype=float).T
             tags = {"engine": doc.get("engine", "unknown"), "units": doc.get("units", "model")}
         except (KeyError, TypeError, AttributeError, ValueError) as exc:  # bad JSON or field kind
             raise ParseError(f"{path}: {exc}") from exc
     else:
         raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     try:
-        return TimeSeries(times=times, channels=channels, **tags)
-    except ValidationError as exc:  # a sample out of range or non-finite, a channel off the grid
+        return TimeSeries(names, table, **tags)
+    except ValidationError as exc:  # a repeated name, or a sample out of range or non-finite
         raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -192,18 +199,6 @@ class DiffReport:
         return doc
 
 
-def _coherence_pairs(names: list[str]) -> list[tuple[str, str, str]]:
-    available = set(names)
-    pairs = []
-    for name in names:  # keep the channel order deterministic
-        if name.startswith("coherence_re:"):
-            suffix = name[len("coherence_re:") :]
-            im = f"coherence_im:{suffix}"
-            if im in available:
-                pairs.append((f"coherence_abs:{suffix}", name, im))
-    return pairs
-
-
 def compare_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
     """Absolute differences per shared channel, plus derived coherence magnitudes.
 
@@ -214,27 +209,28 @@ def compare_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
     """
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise GridMismatch("series grids differ")
-    common = [name for name in a.channels if name in b.channels]
+    in_b = set(b.names)
+    common = [name for name in a.names if name in in_b]
     if not common:
-        raise ChannelMismatch(f"no channel in common (a: {sorted(a.channels)}, b: {sorted(b.channels)})")
+        raise ChannelMismatch(f"no channel in common (a: {sorted(a.names)}, b: {sorted(b.names)})")
+    row = {name: k for k, name in enumerate(common)}
+    re_names = [name for name in common if name.startswith("coherence_re:") and name.replace("_re:", "_im:", 1) in row]
+    re_rows = [row[name] for name in re_names]
+    im_rows = [row[name.replace("_re:", "_im:", 1)] for name in re_names]
+    names = common + [name.replace("_re:", "_abs:", 1) for name in re_names]
 
-    diffs: dict[str, ChannelDiff] = {}
+    def channel_rows(series):
+        # one contiguous row per channel: the sums below then round as on that channel alone
+        column = {name: k for k, name in enumerate(series.names, start=1)}
+        rows = series.table.T[[column[name] for name in common]]
+        return np.concatenate([rows, np.hypot(rows[re_rows], rows[im_rows])])
 
-    def record(name, xa, xb):
-        d = np.abs(xa - xb)
-        k = int(np.argmax(d)) if d.size else 0
-        diffs[name] = ChannelDiff(
-            max_abs=float(d[k]) if d.size else 0.0,
-            t_of_max=float(a.times[k]) if d.size else 0.0,
-            l2=float(np.sqrt(np.sum(d * d))),
-        )
-
-    for name in common:
-        record(name, a.channels[name], b.channels[name])
-    for abs_name, re_name, im_name in _coherence_pairs(common):
-        mag_a = np.hypot(a.channels[re_name], a.channels[im_name])
-        mag_b = np.hypot(b.channels[re_name], b.channels[im_name])
-        record(abs_name, mag_a, mag_b)
-
-    overall = max((d.max_abs for d in diffs.values()), default=0.0)
-    return DiffReport(diffs, overall, ignored_channels=tuple(sorted(set(a.channels) ^ set(b.channels))))
+    diff, times = np.abs(channel_rows(a) - channel_rows(b)), a.times
+    if not a.n_samples:  # an empty grid reports zeros, as one equal sample at t = 0 would
+        diff, times = np.zeros((len(names), 1)), np.zeros(1)
+    max_abs = diff.max(axis=1)
+    t_of_max = times[diff.argmax(axis=1)]
+    l2 = np.sqrt(np.sum(diff * diff, axis=1))
+    diffs = {name: ChannelDiff(peak, t, norm)
+             for name, peak, t, norm in zip(names, max_abs.tolist(), t_of_max.tolist(), l2.tolist())}
+    return DiffReport(diffs, float(max_abs.max()), ignored_channels=tuple(sorted(set(a.names) ^ set(b.names))))

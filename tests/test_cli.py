@@ -366,6 +366,14 @@ class TestRun:
         with expected:
             _check_engines(["bessel"], model, initial, chain_params, _parse_grid(args.grid, args.dt), args)
 
+    def test_bessel_at_overflowing_coupling(self, tmp_path, capsys):
+        # 2 V overflows, but 2 |V t| does not: t = 0 gives the start site alone
+        code = run_cli("run", "--chain", "3,V=1e308,eps=0,gamma=0", "--engines", "bessel",
+                       "--grid", "0:1e-307:3", "--out", str(tmp_path))
+        assert code == 0
+        series = read_timeseries(tmp_path / "bessel.csv")
+        assert series.table[0].tolist() == [0.0, 1.0, 0.0, 0.0]
+
     def test_runaway_bessel_refused(self, tmp_path, capsys, monkeypatch):
         # the README grid against a budget below its estimate: one line, before --out is made
         monkeypatch.setattr(eetsim.cli, "BESSEL_WORK_BUDGET", 6000)
@@ -621,7 +629,12 @@ class TestCompare:
         '{"t": [0, 1], "channels": [1, 2]}',
         '{"t": [0, 1], "channels": {"population:0": "ab"}}',
         '{"t": [0, 1], "channels": {"population:0": [[1], [1, 2]]}}',
-    ], ids=["channels-list", "channel-text", "channel-ragged"])
+        '{"t": 0.5, "channels": {"population:0": [1, 1]}}',
+        '{"t": 0.5, "channels": {}}',
+        '{"t": [0, 1], "channels": {"population:0": [1, 1, 1]}}',
+        '{"t": [0, 1], "channels": {"population:0": [1, 1], "population:1": [0]}}',
+    ], ids=["channels-list", "channel-text", "channel-ragged", "scalar-t", "scalar-t-alone",
+            "channel-longer-than-t", "channels-unequal"])
     def test_malformed_json_series(self, tmp_path, capsys, content):
         a, _ = self.make_pair(tmp_path)
         bad = tmp_path / "bad.json"
@@ -646,6 +659,18 @@ class TestCompare:
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
         assert "non-finite" in captured.err
         assert not report.exists()
+
+    def test_duplicate_channel_refused(self, tmp_path, capsys):
+        # a repeated name is refused, not read as its last column
+        bad, one = tmp_path / "dup.csv", tmp_path / "one.csv"
+        bad.write_text("t,population:0,population:0\r\n0,1,0.3\r\n1,0,0.7\r\n", newline="")
+        one.write_text("t,population:0\r\n0,1\r\n1,0\r\n", newline="")
+        report = tmp_path / "r.json"
+        assert run_cli("compare", str(bad), str(one), "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"eetsim: error: {bad}: channel 'population:0' appears more than once"]
+        assert captured.out == "" and not report.exists()
 
     def test_grid_mismatch(self, tmp_path):
         a, _ = self.make_pair(tmp_path)
