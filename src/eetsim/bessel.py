@@ -76,21 +76,19 @@ def _bessel_j_miller_orders(order: int, x: float) -> list[float]:
     return [k / norm for k in reversed(kept)]
 
 
+def _bessel_j_orders(orders: np.ndarray, x: float) -> np.ndarray:
+    """J_n(x) at x >= 0 for an integer array of orders n >= 0: each by the series, or all by one recurrence."""
+    if x <= _SERIES_LIMIT:
+        return np.array([_bessel_j_series(int(n), x) for n in orders.flat]).reshape(orders.shape)
+    return np.array(_bessel_j_miller_orders(int(orders.max()), x))[orders]
+
+
 def bessel_j(order: int, x: float) -> float:
-    """J_n(x) for integer n (negative orders via the reflection rule)."""
+    """J_n(x) for integer n; J_-n(x) = J_n(-x) = (-1)^n J_n(x) for a negative order or argument."""
     n = int(order)
     x = float(x)
-    if n < 0:
-        sign = -1.0 if n % 2 else 1.0
-        return sign * bessel_j(-n, x)
-    if x < 0.0:
-        sign = -1.0 if n % 2 else 1.0
-        return sign * bessel_j(n, -x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x <= _SERIES_LIMIT:
-        return _bessel_j_series(n, x)
-    return _bessel_j_miller_orders(n, x)[n]
+    sign = -1.0 if n % 2 and (n < 0) != (x < 0.0) else 1.0
+    return sign * float(_bessel_j_orders(np.array(abs(n)), abs(x)))
 
 
 def chain_bessel_populations(v: float, site_offset, t: float):
@@ -107,9 +105,6 @@ def chain_bessel_populations(v: float, site_offset, t: float):
         raise ValueError("time must be non-negative")
     orders = np.abs(np.asarray(site_offset).astype(int))
     x = 2.0 * abs(v * t)  # J_n(-x)^2 = J_n(x)^2; v * t first, so 2 v may overflow where x does not
-    if x > _SERIES_LIMIT:
-        values = np.array(_bessel_j_miller_orders(int(orders.max()), x))[orders]
-    else:
-        values = np.array([bessel_j(n, x) for n in orders.flat]).reshape(orders.shape)
+    values = _bessel_j_orders(orders, x)
     populations = values * values
     return float(populations) if populations.ndim == 0 else populations

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import _recurrence_steps, chain_bessel_populations
-from .classical import initial_rst_mixed, initial_rst_pure, propagate_classical_rst
+from .classical import initial_rst_mixed, propagate_classical_rst
 from .errors import EetsimError, ValidationError
 from .integrate import TimeGrid, ensemble_work
 from .model import rca_check
@@ -153,16 +153,17 @@ def _check_engines(engines, model, initial, chain, grid, args) -> None:
             if steps > BESSEL_WORK_BUDGET:
                 raise _ConfigError(f"engine 'bessel': {steps:.2e} recurrence steps exceed the budget of "
                                    f"{BESSEL_WORK_BUDGET:.1e}; reduce the grid")
-        if engine in ("sse", "kubo") and not initial.is_pure:
-            raise _ConfigError(f"engine {engine!r} needs a pure initial state")
-        if engine in ("sse", "kubo") and args.ntraj < 1:
-            raise _ConfigError(f"--ntraj must be at least 1, got {args.ntraj}")
-        if engine in ("sse", "kubo") and args.seed < 0:
-            raise _ConfigError(f"--seed must be non-negative, got {args.seed}")
-        work = ensemble_work(model, grid, args.ntraj) if engine in ("sse", "kubo") else 0
-        if work > ENSEMBLE_WORK_BUDGET:
-            raise _ConfigError(f"engine {engine!r}: {work:.2e} kicks x trajectories x sites exceed "
-                               f"the budget of {ENSEMBLE_WORK_BUDGET:.0e}; reduce --ntraj or the grid")
+        elif engine in ("sse", "kubo"):
+            if not initial.is_pure:
+                raise _ConfigError(f"engine {engine!r} needs a pure initial state")
+            if args.ntraj < 1:
+                raise _ConfigError(f"--ntraj must be at least 1, got {args.ntraj}")
+            if args.seed < 0:
+                raise _ConfigError(f"--seed must be non-negative, got {args.seed}")
+            work = ensemble_work(model, grid, args.ntraj)
+            if work > ENSEMBLE_WORK_BUDGET:
+                raise _ConfigError(f"engine {engine!r}: {work:.2e} kicks x trajectories x sites exceed "
+                                   f"the budget of {ENSEMBLE_WORK_BUDGET:.0e}; reduce --ntraj or the grid")
 
 
 def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
@@ -171,8 +172,7 @@ def _run_one_engine(engine, model, initial, grid, chain, args) -> TimeSeries:
         traj = propagate_lindblad(model, initial.rho, grid)
         return series_from_quantum(traj, units=units)
     if engine == "classical":
-        rst0 = initial_rst_pure(initial.amplitudes) if initial.is_pure else initial_rst_mixed(initial.rho)
-        traj = propagate_classical_rst(model, rst0, grid)
+        traj = propagate_classical_rst(model, initial_rst_mixed(initial.rho), grid)
         return series_from_classical(traj, units=units)
     if engine in ("sse", "kubo"):
         noise = NoiseSpec(gamma=model.gamma, seed=args.seed)
@@ -257,13 +257,10 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     try:
         report = compare_series(read_timeseries(args.file_a), read_timeseries(args.file_b))
-    except (EetsimError, OSError) as exc:
-        return _fail_config(str(exc))
-    try:
         with open(args.report, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
-    except OSError as exc:
+    except (EetsimError, OSError) as exc:
         return _fail_config(str(exc))
     print(f"overall max difference: {report.overall_max:.6e} (report: {args.report})")
     return 0

@@ -132,6 +132,13 @@ def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:
         raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
+def _unique_keys(pairs) -> dict:
+    repeated = Counter(key for key, _ in pairs).most_common(1)
+    if repeated and repeated[0][1] > 1:
+        raise ValueError(f"key {repeated[0][0]!r} appears more than once")
+    return dict(pairs)
+
+
 def read_timeseries(source) -> TimeSeries:
     """Read a series written by :func:`write_timeseries`.
 
@@ -156,7 +163,7 @@ def read_timeseries(source) -> TimeSeries:
     elif fmt == "json":
         try:
             with open(path) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_unique_keys)  # json.load alone keeps the last of equal keys
             names = list(doc["channels"])
             # a scalar t or a channel off the grid makes the rows ragged, which numpy refuses
             table = np.array([doc["t"], *doc["channels"].values()], dtype=float).T
@@ -164,7 +171,7 @@ def read_timeseries(source) -> TimeSeries:
         except (KeyError, TypeError, AttributeError, ValueError) as exc:  # bad JSON or field kind
             raise ParseError(f"{path}: {exc}") from exc
     else:
-        raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+        raise ValidationError(f"{path}: unknown format {fmt!r}; expected 'csv' or 'json'")
     try:
         return TimeSeries(names, table, **tags)
     except ValidationError as exc:  # a repeated name, or a sample out of range or non-finite

@@ -20,7 +20,7 @@ from eetsim import (
     run_kubo_ensemble,
 )
 from eetsim.classical import RstState, _rst_rhs, normalize_sigma
-from eetsim.errors import NormCollapse, NotPositive, ValidationError, ZeroState
+from eetsim.errors import DimensionMismatch, NormCollapse, NotPositive, ValidationError, ZeroState
 
 
 def anomalous(rst):
@@ -324,6 +324,11 @@ class TestStackChecks:
         with pytest.raises(ValidationError) as info:
             RstState(moments["r"], moments["s"], moments["t"])
         assert type(info.value) is ValidationError
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"s must be 2x2, got \(3, 3\)") as info:
+            RstState(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 2)))
+        assert type(info.value) is DimensionMismatch
 
     def test_packed_size_on_fmo(self, monkeypatch):
         # both moment engines hand the propagator M's upper triangle: N (2N + 1) reals

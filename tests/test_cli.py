@@ -118,6 +118,31 @@ class TestRun:
         assert run_cli("run", "--chain", "2,what=1", "--engines", "lindblad",
                        "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("options,message", [
+        (["--chain", ","], "empty --chain specification"),
+        (["--chain", "3,V"], "--chain: expected key=value, got 'V'"),
+        (["--chain", "3,V=x"], "--chain: bad value in 'V=x'"),
+        (["--chain", "0"], "chain needs at least one site"),
+        (["--chain", "3", "--grid", "0:1"], "--grid: expected t_start:t_end:n_samples, got '0:1'"),
+        (["--chain", "3", "--grid", "0:a:3"], "--grid: bad field in '0:a:3'"),
+        (["--chain", "3", "--gamma", "-1"], "--gamma must be non-negative"),
+        (["--chain", "3", "--shift", "2"], "--shift applies to model files only"),
+        (["--chain", "3", "--engines", ","], "--engines: need at least one engine"),
+    ], ids=["chain-empty", "chain-key-without-value", "chain-value-text", "chain-no-site", "grid-two-fields",
+            "grid-field-text", "gamma-negative", "shift-with-chain", "engines-empty"])
+    def test_malformed_option_is_config_error(self, tmp_path, capsys, options, message):
+        # the later of two equal options wins, so each case overrides the defaults given first
+        out = tmp_path / "out"
+        code = run_cli("run", "--engines", "lindblad", "--grid", "0:1:3", *options, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"eetsim: error: {message}"]
+        assert not out.exists()
+
+    def test_gamma_option_overrides_chain_gamma(self):
+        args = build_parser().parse_args(["run", "--chain", "3,gamma=1", "--gamma", "2", "--engines", "lindblad"])
+        model, _, _ = _build_scenario(args)
+        assert np.array_equal(model.gamma, [2.0, 2.0, 2.0])
+
     def test_scenario_required(self, tmp_path):
         assert run_cli("run", "--engines", "lindblad", "--out", str(tmp_path)) == 2
 
@@ -427,6 +452,16 @@ class TestRun:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists() or not any(out.iterdir())
 
+    def test_kubo_and_sse_series(self, tmp_path):
+        code = run_cli("run", "--chain", "2,V=1,eps=10,gamma=1,start=0", "--engines", "sse,kubo",
+                       "--grid", "0:1:11", "--ntraj", "64", "--seed", "1", "--out", str(tmp_path))
+        assert code == 0
+        kubo = read_timeseries(tmp_path / "kubo.csv")
+        assert kubo.names[-1] == "norm_factor"
+        populations = [kubo.channels[f"population:{site}"] for site in (0, 1)]
+        assert np.abs(np.sum(populations, axis=0) - 1.0).max() <= 1e-12
+        assert "norm_factor" not in read_timeseries(tmp_path / "sse.csv").names
+
     def test_classical_ignores_global_phase(self, tmp_path):
         # c and i c are one quantum state, so the classical output must agree
         written = []
@@ -489,9 +524,18 @@ class TestRun:
          "initial_state.amplitudes: amplitudes must be a list of 2 entries"),
         (dict(PURE_DIMER, initial_state={"site": 2}),
          "initial_state.site: expected a site index in 0..1, got 2"),
+        (dict(PURE_DIMER, initial_state={"amplitudes": [[1, 2, 3], 0]}),
+         "initial_state.amplitudes: amplitude 0 must be a number or an [re, im] pair"),
+        (dict(PURE_DIMER, initial_state={"amplitudes": [0, 0]}), "initial_state.amplitudes: zero or non-finite norm"),
+        (dict(PURE_DIMER, initial_state={"mixture": []}), "initial_state.mixture: expected a non-empty list"),
+        (dict(PURE_DIMER, initial_state={"mixture": [{"weight": 1.5, "amplitudes": [1.0, 0.0]}]}),
+         "initial_state.mixture[0].weight: must lie in [0, 1]"),
+        (dict(PURE_DIMER, couplings=[{"i": 0, "j": 0, "value": 0.2}]), "couplings[0]: bad site pair (0, 0)"),
+        (dict(PURE_DIMER, gamma=10**400), "gamma: expected a number or a regular list of numbers"),
     ], ids=["ragged-couplings", "negative-gamma", "nan-gamma", "infinite-coupling", "asymmetric-7x7",
             "gamma-length", "mixture-weights", "initial-state-not-object", "amplitude-count",
-            "site-out-of-range"])
+            "site-out-of-range", "amplitude-triple", "amplitudes-zero", "mixture-empty", "weight-above-one",
+            "coupling-self-pair", "gamma-integer-overflows-float"])
     @pytest.mark.parametrize("command", ["run", "rca"])
     def test_model_file_error_names_the_file(self, tmp_path, capsys, command, doc, message):
         path = tmp_path / "model.json"
@@ -633,8 +677,9 @@ class TestCompare:
         '{"t": 0.5, "channels": {}}',
         '{"t": [0, 1], "channels": {"population:0": [1, 1, 1]}}',
         '{"t": [0, 1], "channels": {"population:0": [1, 1], "population:1": [0]}}',
+        '{"t": [0, 1], "channels": {"population:0": [1, 0], "population:0": [0.3, 0.7]}}',
     ], ids=["channels-list", "channel-text", "channel-ragged", "scalar-t", "scalar-t-alone",
-            "channel-longer-than-t", "channels-unequal"])
+            "channel-longer-than-t", "channels-unequal", "channel-repeated"])
     def test_malformed_json_series(self, tmp_path, capsys, content):
         a, _ = self.make_pair(tmp_path)
         bad = tmp_path / "bad.json"
@@ -672,6 +717,25 @@ class TestCompare:
             f"eetsim: error: {bad}: channel 'population:0' appears more than once"]
         assert captured.out == "" and not report.exists()
 
+    def test_duplicate_json_key_refused(self, tmp_path, capsys):
+        # json.load alone keeps the last of two equal keys: the file is refused instead
+        bad, one = tmp_path / "dup.json", tmp_path / "one.csv"
+        bad.write_text('{"t": [0, 1], "channels": {"population:0": [1, 0], "population:0": [0.3, 0.7]}}')
+        one.write_text("t,population:0\r\n0,1\r\n1,0\r\n", newline="")
+        report = tmp_path / "r.json"
+        assert run_cli("compare", str(bad), str(one), "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"eetsim: error: {bad}: key 'population:0' appears more than once"]
+        assert captured.out == "" and not report.exists()
+
+    def test_unknown_suffix_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "a.txt"
+        bad.write_text("t,population:0\r\n0,1\r\n", newline="")
+        assert run_cli("compare", str(bad), str(bad), "--report", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"eetsim: error: {bad}: unknown format 'txt'; expected 'csv' or 'json'"]
+        assert captured.out == ""
+
     def test_grid_mismatch(self, tmp_path):
         a, _ = self.make_pair(tmp_path)
         run_cli("run", "--chain", "2,V=1,eps=0,gamma=0.5,start=0",
@@ -698,6 +762,11 @@ class TestRca:
     def test_gamma_override(self, capsys):
         # an absurd dephasing rate breaks the weak-noise condition
         assert run_cli("rca", "--model", str(fmo_model_path()), "--gamma", "20000") == 1
+
+    def test_nonpositive_frequency_prints_reason(self, capsys):
+        # zero site energies leave no transition frequency to compare with
+        assert run_cli("rca", "--chain", "3,eps=0") == 1
+        assert "reason               : non-positive transition frequency" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("threshold", ["2", "nan", "inf", "0", "-0.1"])
     def test_threshold_outside_unit_interval(self, capsys, threshold):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -101,6 +102,17 @@ class TestBuildAggregate:
     def test_nonfinite_epsilon_rejected(self):
         with pytest.raises(ValidationError):
             build_aggregate([1.0, np.inf], [[0, 1], [1, 0]], [0.0, 0.0])
+
+    @pytest.mark.parametrize("epsilon,coupling,units,exc_type,message", [
+        ([[1.0, 1.0]], [[0, 1], [1, 0]], "dimensionless-in-V", DimensionMismatch,
+         "epsilon must be a vector, got shape (1, 2)"),
+        ([], np.zeros((0, 0)), "dimensionless-in-V", DimensionMismatch, "model needs at least one site"),
+        ([1.0, 1.0], [[0, 1], [1, 0]], "eV", ValidationError, "unknown unit system 'eV'"),
+    ], ids=["epsilon-2d", "no-site", "unknown-units"])
+    def test_malformed_arguments_rejected(self, epsilon, coupling, units, exc_type, message):
+        with pytest.raises(exc_type, match=re.escape(message)) as info:
+            build_aggregate(epsilon, coupling, 0.0, units=units)
+        assert type(info.value) is exc_type
 
     @pytest.mark.parametrize("rate", [np.inf, np.nan])
     def test_nonfinite_gamma_rejected(self, rate):
@@ -213,6 +225,17 @@ class TestDensityMatrix:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPositive):
             DensityMatrix(np.diag([1.1, -0.1]))
+
+    @pytest.mark.parametrize("data,exc_type,message", [
+        (np.zeros((2, 2, 2)), DimensionMismatch, "density matrix must be square, got shape (2, 2, 2)"),
+        # the largest entry lies off the diagonal, so the Hermiticity check,
+        # relative to it, lets the imaginary diagonal through to the trace check
+        ([[4e-12j, 10, 0], [10, 4e-12j, 0], [0, 0, 4e-12j]], ValidationError, "trace not real"),
+    ], ids=["stack", "imaginary-trace"])
+    def test_malformed_matrix_rejected(self, data, exc_type, message):
+        with pytest.raises(exc_type, match=re.escape(message)) as info:
+            DensityMatrix(data)
+        assert type(info.value) is exc_type
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("caller,exc_type", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,7 @@ from eetsim import (
     run_kubo_ensemble,
     run_sse_ensemble,
 )
-from eetsim.errors import GridMismatch, ValidationError, ZeroState
+from eetsim.errors import DimensionMismatch, GridMismatch, ValidationError, ZeroState
 from eetsim.integrate import _substeps, resolve_step
 from eetsim.stochastic import TrajectoryEnsemble, _strang_samples, derive_stream
 
@@ -361,6 +363,10 @@ class TestAccumulate:
         assert np.array_equal(batched.mean_bilinear, single.mean_bilinear)
         assert np.array_equal(batched.standard_error(), single.standard_error())
 
+    def test_empty_ensemble_has_no_mean(self):
+        with pytest.raises(ValidationError, match="empty ensemble"):
+            TrajectoryEnsemble(self.grid(), 2).mean_bilinear
+
     def test_standard_error_needs_two(self):
         ens = accumulate([np.ones((5, 2), complex)], self.grid())
         with pytest.raises(ValidationError):
@@ -504,6 +510,17 @@ class TestEnsembleDrivers:
         noise = NoiseSpec(gamma=[0.1, 0.1], seed=1)
         with pytest.raises(ValidationError):
             run_sse_ensemble(model, init.amplitudes, TimeGrid(0.0, 1.0, 6), noise, n_traj=4)
+
+    @pytest.mark.parametrize("amplitudes,n_traj,exc_type,message", [
+        ([1.0, 0.0], 0, ValidationError, "n_traj must be positive"),
+        ([1.0, 0.0, 0.0], 4, DimensionMismatch, "amplitude vector shape (3,) does not match model dimension 2"),
+    ], ids=["no-trajectory", "three-amplitudes-on-dimer"])
+    def test_bad_ensemble_arguments_rejected(self, amplitudes, n_traj, exc_type, message):
+        model, _ = make_chain(2, 1.0, 2.0, 0.8, 0)
+        noise = NoiseSpec(gamma=model.gamma, seed=1)
+        with pytest.raises(exc_type, match=re.escape(message)) as info:
+            run_sse_ensemble(model, amplitudes, TimeGrid(0.0, 1.0, 6), noise, n_traj=n_traj)
+        assert type(info.value) is exc_type
 
     def test_sse_converges_to_lindblad(self):
         model, init = make_chain(2, 1.0, 1.0, 1.0, 0)
