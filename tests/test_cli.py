@@ -768,6 +768,13 @@ class TestRca:
         assert run_cli("rca", "--chain", "3,eps=0") == 1
         assert "reason               : non-positive transition frequency" in capsys.readouterr().out.splitlines()
 
+    def test_overflowing_ratio_fails_quietly(self, capsys):
+        # V / eps = 1e600 overflows to inf: a fail, with no numpy warning on stderr
+        assert run_cli("rca", "--chain", "3,V=1e300,eps=1e-300,gamma=0") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "verdict              : fail" in captured.out.splitlines()
+
     @pytest.mark.parametrize("threshold", ["2", "nan", "inf", "0", "-0.1"])
     def test_threshold_outside_unit_interval(self, capsys, threshold):
         # the dephasing ratio is 1.5, a fail whatever the threshold

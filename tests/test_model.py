@@ -1,4 +1,6 @@
+import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +11,13 @@ from eetsim import (
     NoiseSpec,
     TimeGrid,
     build_aggregate,
+    fmo_model_path,
+    initial_rst_mixed,
     initial_rst_pure,
+    load_model,
     make_chain,
+    propagate_classical_rst,
+    propagate_lindblad,
     pure_density,
     run_sse_ensemble,
 )
@@ -193,6 +200,13 @@ class TestRcaCheck:
         report = rca_check(build_aggregate(eps, v, gam))
         assert report.verdict == "marginal"
 
+    def test_overflowing_ratios_are_infinite(self):
+        # 1e300 / 1e-300 overflows; under warnings-as-errors a numpy warning would raise here
+        model = build_aggregate([1e-300, 1e300], [[0.0, 1e300], [1e300, 0.0]], [1e300, 0.0])
+        report = rca_check(model)
+        assert (report.ratio_v, report.ratio_detune, report.ratio_gamma) == (np.inf,) * 3
+        assert report.verdict == "fail"
+
 
 class TestConvertEnergy:
     def test_zero(self):
@@ -294,3 +308,140 @@ class TestCheckStack:
 
     def test_not_square(self):
         raises_exactly(DimensionMismatch, _check_stack, np.zeros((3, 2, 4), complex), 1e-8)
+
+
+def reference_check_stack(a, psd_tol):
+    """The checks of _check_stack as one whole-stack pass with one batched eigvalsh."""
+    scale = np.abs(a).max(axis=(-2, -1))
+    bad = ~np.isfinite(scale)
+    if np.any(bad):
+        raise ValidationError(f"non-finite entry in sample {int(np.flatnonzero(bad)[0])}")
+    herm = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = herm > 1e-12 * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        raise ValidationError(f"matrix not Hermitian: max |A - A^H| = {herm[bad].flat[0]:.3e}")
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    bad = np.abs(tr.imag) > 1e-12 * np.maximum(1.0, np.abs(tr))
+    if np.any(bad):
+        raise ValidationError(f"trace not real: {complex(tr[bad].flat[0])}")
+    lo = np.linalg.eigvalsh(a).min(axis=-1)
+    bad = lo < -psd_tol * np.maximum(1.0, scale)
+    if np.any(bad):
+        raise NotPositive(f"eigenvalue {lo[bad].flat[0]:.3e} below positivity tolerance")
+
+
+def verdict(check, a, psd_tol):
+    """None when ``check`` accepts a copy of ``a``, else the type and message it raised."""
+    try:
+        check(a.copy(), psd_tol)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def with_eigenvalues(eigenvalues, seed):
+    """Hermitian U diag(eigenvalues) U^H with a random unitary U."""
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    a = (u * eigenvalues) @ u.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+def one_fault(kind, n, seed):
+    """A sample of dimension n that fails exactly one of the four checks."""
+    if kind == "non-finite":
+        a = density_stack(1, n, seed)[0]
+        a[1, 1] = np.nan
+    elif kind == "non-Hermitian":
+        a = density_stack(1, n, seed)[0]
+        a[0, 1] += 1e-3
+    elif kind == "imaginary trace":
+        # Hermitian within 1e-12 of the largest entry, 10, but with a trace 1.2e-10 off the real axis
+        a = np.diag(np.full(n, 4e-12j))
+        a[0, 1] = a[1, 0] = 10.0
+    else:
+        a = np.diag(np.r_[1.1, -0.1, np.zeros(n - 2)]).astype(complex)
+    return a
+
+
+class CountingEigvalsh:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._eigvalsh(*args, **kwargs)
+
+
+class TestPositivityCertificate:
+    """_check_stack certifies positivity by Cholesky in chunks; eigvalsh only decides a failure."""
+
+    # 29 sites make chunks of 9 samples, so sample 20 sits in the third chunk of a 25-sample stack
+    N, SAMPLES, AT = 29, 25, 20
+
+    @pytest.mark.parametrize("psd_tol", [1e-8, 1e-9])
+    @pytest.mark.parametrize("spectrum", ["pure", "mixed", "largest entry 100"])
+    @pytest.mark.parametrize("lowest", [-2.0, -1.01, -0.99, -0.75, -0.25, 0.0])
+    def test_verdict_matches_eigenvalue_rule(self, monkeypatch, psd_tol, spectrum, lowest):
+        rng = np.random.default_rng(7)
+        if spectrum == "pure":
+            rest = np.r_[1.0, np.zeros(self.N - 2)]
+        else:
+            rest = rng.uniform(0.0, 1.0, self.N - 1)
+            rest /= rest.sum()
+            if spectrum == "largest entry 100":
+                rest *= 100.0 / with_eigenvalues(np.r_[0.0, rest], 3).real.max()
+        c = psd_tol * max(1.0, np.abs(with_eigenvalues(np.r_[0.0, rest], 3)).max())
+        rho = density_stack(self.SAMPLES, self.N, 11)
+        rho[self.AT] = with_eigenvalues(np.r_[lowest * c, rest], 3)
+        if spectrum == "largest entry 100":
+            assert 90.0 < np.abs(rho[self.AT]).max() < 110.0
+        expected = verdict(reference_check_stack, rho, psd_tol)
+        assert (expected is None) == (lowest > -1.0)
+        eigvalsh = CountingEigvalsh(monkeypatch)
+        assert verdict(_check_stack, rho, psd_tol) == expected
+        # a shift by c/2 factors whenever the lowest eigenvalue lies above -c/2
+        assert eigvalsh.calls == (lowest < -0.5)
+
+    @pytest.mark.parametrize("first,second", itertools.permutations(
+        ["non-finite", "non-Hermitian", "imaginary trace", "negative eigenvalue"], 2))
+    def test_first_check_in_order_reported_across_chunks(self, first, second):
+        rho = density_stack(self.SAMPLES, self.N, 5)
+        rho[2] = one_fault(first, self.N, 1)
+        rho[self.AT] = one_fault(second, self.N, 2)
+        expected = verdict(reference_check_stack, rho, 1e-8)
+        assert expected is not None
+        assert verdict(_check_stack, rho, 1e-8) == expected
+
+    def test_eigenvalues_decide_past_the_error_bound(self, monkeypatch):
+        # 8 N (N + 1) eps exceeds 1e-13 at N = 29, so Cholesky's backward error could hide -c
+        rho = density_stack(4, self.N, 9)
+        eigvalsh = CountingEigvalsh(monkeypatch)
+        assert verdict(_check_stack, rho, 1e-13) is None
+        assert eigvalsh.calls == 1
+        rho[3] = with_eigenvalues(np.r_[-2e-13, np.full(self.N - 1, 1.0 / (self.N - 1))], 4)
+        expected = verdict(reference_check_stack, rho, 1e-13)
+        assert expected is not None and expected[0] is NotPositive
+        assert verdict(_check_stack, rho, 1e-13) == expected
+
+    def test_passing_runs_compute_no_eigenvalues(self, monkeypatch):
+        eigvalsh = CountingEigvalsh(monkeypatch)
+        fmo, fmo_init = load_model(fmo_model_path())
+        chain, chain_init = make_chain(29, 1.0, 40.0, 1.0, 14)
+        for model, init, grid in ((fmo, fmo_init, TimeGrid(0.0, 1.0, 101)), (chain, chain_init, TimeGrid(0.0, 1.0, 11))):
+            propagate_lindblad(model, init.rho, grid)
+            propagate_classical_rst(model, initial_rst_mixed(init.rho), grid)
+        assert eigvalsh.calls == 0
+
+    def test_temporaries_do_not_grow_with_the_stack(self):
+        rho = density_stack(201, 29, 0)
+        tracemalloc.start()
+        try:
+            _check_stack(rho, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.nbytes / 4
