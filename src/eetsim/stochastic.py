@@ -14,8 +14,11 @@ term is (or may be) added.  The deterministic part is the drift A of the
 moment equation in :mod:`eetsim.classical`; its flows e^{G t}, G being A on
 the (re, im) view of z, serve every substep and trajectory of a batch.  Exact
 flows compose, so an interval is e^{G h/2} K_1 e^{G h} ... e^{G h} K_n
-e^{G h/2}: one product per kick, and one more per sample.  A batch is folded
-into the ensemble sums at each sample time as it steps; no path is stored.
+e^{G h/2}: one product per kick, and one more per sample.  A kick e^{-i phi}
+is evaluated as cos(-phi) + i sin(-phi), for a cache-sized sub-block of
+substeps at a time; with numpy 2.4 on x86-64 these reproduce numpy's complex
+exponential bit for bit.  A batch is folded into the ensemble sums at each
+sample time as it steps; no path is stored.
 
 Reproducibility contract: the stream for trajectory ``k`` is derived from
 ``(master_seed, k)`` alone through a counter-based generator, and every
@@ -43,7 +46,7 @@ from .model import AggregateModel, _drift
 _CHUNK_TRAJECTORIES = 1024
 #: Bytes of one sample's outer products a batch forms at once (16 N^2 per trajectory).
 _CHUNK_MEMORY_BYTES = 256_000_000
-#: Bytes of phase kicks one batch holds at once.
+#: Bytes of kick angles, and of their cos/sin table, one batch holds at once.
 _SEGMENT_BYTES = 8_000_000
 
 
@@ -108,11 +111,21 @@ def _strang_samples(
     # Noise is drawn for a block of substeps at a time (about _SEGMENT_BYTES,
     # the last block stopping at the path end).  Each trajectory's draws
     # continue its own stream, so the kicks equal those of one whole-path draw.
-    block = max(1, _SEGMENT_BYTES // (8 * n * batch))
+    # The block holds the kick angles -sqrt(gamma_n h) xi; their kicks are
+    # evaluated as cos + i sin a sub-block of `sub` substeps at a time into
+    # `table`.  The table's sixteenth of the budget comes out of the block's
+    # share and keeps it in cache from the trig to the substeps that read it;
+    # where a sixteenth holds no table substep, the table is one substep
+    # beside the block, the size of the per-kick temporaries it replaces.
+    row = 8 * n * batch
+    sub = _SEGMENT_BYTES // (32 * row)
+    block = max(1, (_SEGMENT_BYTES - 2 * row * sub) // row)
+    sub = max(1, sub)
     phases = _mapped((batch, min(block, n_steps), n), float)
-    # Kick widths sqrt(gamma_n h) as a full (block, N) table: scaling by an
-    # (N,) row would make numpy's inner loop N long, about 6x slower.
-    widths = np.tile(np.sqrt(h * model.gamma), (phases.shape[1], 1))
+    table = np.empty((batch, min(sub, n_steps), n), dtype=complex)
+    # The angles' widths as a full (block, N) table: scaling by an (N,) row
+    # would make numpy's inner loop N long, about 6x slower.
+    widths = np.tile(-np.sqrt(h * model.gamma), (phases.shape[1], 1))
 
     # The model's drift A acts on u = (x, p); a batch row y = z.view(float)
     # interleaves (re, im) site by site, so G[(j, d), (i, c)] = A[(c, i), (d, j)]
@@ -124,20 +137,27 @@ def _strang_samples(
     # Exact flows compose, so the two half steps between adjacent kicks are one
     # e^{G h}: z is kept just past its last kick, the first kick is preceded by
     # a half step and every later one by a full step, and each sample is z
-    # carried the remaining half step to the grid time.
+    # carried the remaining half step to the grid time.  Sub-blocks restart at
+    # every noise block and run across sample times.
     z = np.broadcast_to(np.asarray(z0, dtype=complex), (batch, n)).copy()
     yield z
     flow = half_step
     step = 0
     for _ in range(grid.n_samples - 1):
         for _ in range(n_sub):
-            if step % block == 0:
+            offset = step % block
+            if offset == 0:
                 drawn = phases[:, : min(block, n_steps - step)]
                 for b, gen in enumerate(streams):
                     gen.standard_normal(drawn.shape[1:], out=drawn[b])
                 drawn *= widths[: drawn.shape[1]]
+            if offset % sub == 0:
+                angles = drawn[:, offset : offset + sub]
+                kicks = table[:, : angles.shape[1]]
+                np.cos(angles, out=kicks.real)
+                np.sin(angles, out=kicks.imag)
             z = (z.view(float) @ flow).view(complex)
-            z *= np.exp(-1j * phases[:, step % block, :])
+            z *= table[:, offset % sub]
             flow = full_step
             step += 1
         yield (z.view(float) @ half_step).view(complex)

@@ -245,7 +245,9 @@ class TestDensityMatrix:
         # the largest entry lies off the diagonal, so the Hermiticity check,
         # relative to it, lets the imaginary diagonal through to the trace check
         ([[4e-12j, 10, 0], [10, 4e-12j, 0], [0, 0, 4e-12j]], ValidationError, "trace not real"),
-    ], ids=["stack", "imaginary-trace"])
+        # A - A^H overflows to inf: reported as the asymmetry, with no numpy warning
+        ([[1, 1e308], [-1e308, 1]], ValidationError, "matrix not Hermitian: max |A - A^H| = inf"),
+    ], ids=["stack", "imaginary-trace", "overflowing-asymmetry"])
     def test_malformed_matrix_rejected(self, data, exc_type, message):
         with pytest.raises(exc_type, match=re.escape(message)) as info:
             DensityMatrix(data)

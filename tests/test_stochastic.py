@@ -230,6 +230,79 @@ class TestStrangMap:
         assert np.abs(got - flow(z, half)).max() <= 1e-14
 
 
+def exponential_kick_samples(kind, model, z0, grid, streams):
+    """Reference stepper: each trajectory's whole noise path in one draw, each
+    kick np.exp(-1j * phase) of its (batch, N) slice, flows as in the engine.
+
+    Returns the kick phases (batch, n_steps, N) and the samples (n_samples, batch, N).
+    """
+    n = model.n_sites
+    n_sub, h = _substeps(grid.spacing, resolve_step(model, grid))
+    n_steps = n_sub * (grid.n_samples - 1)
+    generator = amplitude_rhs(model, kind)(np.eye(2 * n).view(complex)).view(float)
+    half = eetsim.stochastic._expm(0.5 * h * generator)
+    full = eetsim.stochastic._expm(h * generator)
+    phases = np.stack([gen.standard_normal((n_steps, n)) for gen in streams]) * np.sqrt(h * model.gamma)
+    z = np.broadcast_to(np.asarray(z0, dtype=complex), (len(streams), n)).copy()
+    out, flow = [z], half
+    for step in range(n_steps):
+        z = (z.view(float) @ flow).view(complex)
+        z *= np.exp(-1j * phases[:, step])
+        flow = full
+        if (step + 1) % n_sub == 0:
+            out.append((z.view(float) @ half).view(complex))
+    return phases, np.stack(out)
+
+
+class TestKickTable:
+    """The engine evaluates kicks as cos and sin of the negated phases, a
+    sub-block of substeps at a time, instead of np.exp(-1j * phase) per
+    substep.  With a dimer batch of 6 (96 bytes of phases a substep) and
+    40 substeps per interval, a budget of B bytes gives sub-blocks of
+    sub = B // 3072 substeps (at least 1) and noise blocks of
+    (B - 192 sub) // 96; sub-blocks restart at each noise block."""
+
+    @pytest.mark.parametrize("segment_bytes", [1, 960, 9216, 9400, 21700, 24576, 8_000_000], ids=[
+        "sub1-block1",  # every substep its own noise block and sub-block
+        "sub1-block10",  # budget below one table substep: a one-row table beside the block
+        "sub3-block90",  # sub-blocks run across sample times, edges on the block edges
+        "sub3-block91",  # each block's last sub-block cut to 1 at the block edge
+        "sub7-block212",  # cut to 2 at block edges, across sample times inside blocks
+        "sub8-block240",  # sub-block edges on every sample time and block edge
+        "one-sub-block",  # the 400-substep path is shorter than one sub-block
+    ])
+    @pytest.mark.parametrize("kind", ["sse", "kubo"])
+    def test_equals_exponential_kicks(self, monkeypatch, kind, segment_bytes):
+        model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
+        grid = TimeGrid(0.0, 2.0, 11)
+        self.check(monkeypatch, kind, model, init.amplitudes, grid, segment_bytes)
+
+    @pytest.mark.parametrize("segment_bytes", [1, 18432, 8_000_000])
+    def test_equals_exponential_kicks_with_a_noiseless_site(self, monkeypatch, segment_bytes):
+        # a zero rate makes signed-zero phases; two intervals of 30 substeps
+        # against sub-blocks of 1, 4 (across the sample time) and 1736
+        model = build_aggregate([1.0, -2.0, 0.5], [[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]], [0.7, 0.0, 2.0])
+        grid = TimeGrid(0.0, 0.2, 3)
+        self.check(monkeypatch, "sse", model, np.array([0.6, 0.8j, 0.0]), grid, segment_bytes)
+
+    @staticmethod
+    def check(monkeypatch, kind, model, z0, grid, segment_bytes):
+        phases, expected = exponential_kick_samples(
+            kind, model, z0, grid, [derive_stream(63, k) for k in range(6)])
+        monkeypatch.setattr(eetsim.stochastic, "_SEGMENT_BYTES", segment_bytes)
+        got = strang_samples(kind, model, z0, grid, [derive_stream(63, k) for k in range(6)])
+        # numpy 2.4's cos and sin reproduce np.exp(-1j * phi) bit for bit on
+        # x86-64 with glibc; a platform whose trig differs may move a kick by
+        # 1 ulp (and the path by as many ulps as it has kicks), never more
+        kicks = np.exp(-1j * phases)
+        gap = max(np.testing.assert_array_max_ulp(np.cos(-phases), kicks.real, maxulp=1).max(),
+                  np.testing.assert_array_max_ulp(np.sin(-phases), kicks.imag, maxulp=1).max())
+        if gap == 0:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.abs(got - expected).max() <= phases.shape[1] * 4 * np.finfo(float).eps
+
+
 def strang_second_moment(kind, model, y0, grid):
     """Exact ensemble mean of z z^H under the Strang scheme at each grid time, with no sampling.
 
