@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvtext import write_rows
 from .classical import ClassicalTrajectory, normalize_sigma
 from .errors import ChannelMismatch, GridMismatch, ParseError, ValidationError
 from .quantum import QuantumTrajectory
@@ -113,11 +114,27 @@ def write_timeseries(series: TimeSeries, fmt: str, destination) -> None:
     """Write a series as CSV (header ``t,<channel>...``) or JSON.
 
     Floats are written with 17 significant digits, so a read-back is exact.
+    A CSV holds the bytes ``np.savetxt(fmt="%.17g", delimiter=",",
+    newline="\\r\\n")`` would write: its digits are rounded from a
+    double-double product accurate to about 1e-30 relative, and a value whose
+    18th digit may be a tie, or whose magnitude lies outside 1e-260 to 1e280,
+    is printed by Python's own ``%.17g``.  The file is written chunk by chunk
+    straight to ``destination``, with no temporary file.  A channel name
+    holding ``,``, ``\\r`` or ``\\n`` cannot be read back from a CSV header,
+    so it is refused, as is one that cannot be encoded as UTF-8, before the
+    file is opened.
     """
     if fmt == "csv":
-        with open(destination, "w", newline="") as fh:
-            np.savetxt(fh, series.table, fmt="%.17g", delimiter=",", header=",".join(["t", *series.names]),
-                       comments="", newline="\r\n")
+        bad = [name for name in series.names if any(c in name for c in ",\r\n")]
+        if bad:
+            raise ValidationError(f"channel {bad[0]!r} cannot be a CSV column name")
+        try:
+            header = ",".join(["t", *series.names]).encode("utf-8") + b"\r\n"
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"channel names are not UTF-8: {exc}") from exc
+        with open(destination, "wb") as fh:
+            fh.write(header)
+            write_rows(series.table, fh)
     elif fmt == "json":
         doc = {
             "engine": series.engine,
@@ -149,7 +166,7 @@ def read_timeseries(source) -> TimeSeries:
     fmt = path.suffix.lstrip(".").lower() or "csv"
     if fmt == "csv":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 header = fh.readline().rstrip("\n").split(",")
                 start = fh.tell()
                 rows = bool(fh.read(1))  # np.loadtxt warns on a header-only file

@@ -1,6 +1,14 @@
+import io
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eetsim
 from eetsim import TimeGrid, initial_rst_pure, make_chain, propagate_classical_rst, propagate_lindblad
 from eetsim.classical import ClassicalTrajectory
 from eetsim.quantum import QuantumTrajectory
@@ -303,3 +311,149 @@ class TestCompareAgainstLoop:
         assert {name: (d.max_abs, d.t_of_max, d.l2) for name, d in report.channels.items()} == expected
         assert report.overall_max == max(v[0] for v in expected.values())
         assert report.ignored_channels == ("coherence_im:0:2", "norm_factor", "population:1")
+
+
+def percent_g_rows(table) -> bytes:
+    """The reference CSV body: each value as ``b"%.17g" % v``, joined by "," and ended by CRLF per row."""
+    return b"".join(b",".join(b"%.17g" % v for v in row) + b"\r\n" for row in table.tolist())
+
+
+def savetxt_bytes(series) -> bytes:
+    fh = io.BytesIO()
+    np.savetxt(fh, series.table, fmt="%.17g", delimiter=",", header=",".join(["t", *series.names]), comments="",
+               newline="\r\n")
+    return fh.getvalue()
+
+
+def write_csv(table, path) -> bytes:
+    """The body write_timeseries gives a table, its header line dropped."""
+    write_timeseries(TimeSeries([f"c{k}" for k in range(1, table.shape[1])], table), "csv", path)
+    return path.read_bytes().split(b"\r\n", 1)[1]
+
+
+def decimal_ties():
+    """Doubles whose exact decimal value has 18 significant digits, the last a 5.
+
+    Such a value is k * 2**-m with k odd and k * 5**m of 18 digits; its
+    ``%.17g`` rounds the tie to an even 17th digit.
+    """
+    rng = np.random.default_rng(7)
+    ties = [2.0 ** -25]
+    for m in range(1, 26):
+        low, high = -(-10 ** 17 // 5 ** m), min(10 ** 18 // 5 ** m, 2 ** 53)
+        if low >= high:
+            continue
+        odd = rng.integers(low // 2, -(-high // 2), size=200) * 2 + 1
+        ties += [int(k) * 2.0 ** -m for k in odd if len(str(int(k) * 5 ** m)) == 18]
+    ties = np.array(ties)
+    return np.concatenate([ties, -ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+
+
+def float_cases():
+    rng = np.random.default_rng(2026)
+    bits = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(np.float64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tiny = np.finfo(float).tiny
+    return {
+        "random-bits": bits[np.isfinite(bits)],
+        "powers-of-ten": np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
+        "powers-of-two": np.ldexp(1.0, np.arange(-1074, 1024)),
+        "decimal-ties": decimal_ties(),
+        "integers": np.concatenate([np.arange(2.0 ** 53 - 300, 2.0 ** 53 + 300),
+                                    np.arange(1e16 - 300, 1e16 + 300), np.arange(1e17 - 3000, 1e17 + 3000, 16),
+                                    np.arange(-20.0, 21.0)]),
+        "extremes": np.array([0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, np.nextafter(tiny, 0), tiny, -tiny,
+                              np.finfo(float).max, -np.finfo(float).max, 1e-100, -1e100, 1.5e-200, 9.99e299,
+                              1e-261, 1e-259, 9.9e279, 1e280, 1e-5, 1e-4, 9.9999999999999991e-5,
+                              123456.789, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e16 / 3.0, 1e17 / 3.0]),
+        "times": np.concatenate([np.linspace(0.0, 5000.0, 100001), 0.01 * np.arange(5001), np.arange(0.0, 5000.0, 0.7)]),
+    }
+
+
+_FLOAT_CASES = float_cases()
+
+
+class TestCsvText:
+    """write_timeseries prints each value as Python's ``b"%.17g" % v`` does."""
+
+    @pytest.mark.parametrize("width", [1, 7])
+    @pytest.mark.parametrize("case", list(_FLOAT_CASES))
+    def test_matches_percent_g(self, case, width, tmp_path):
+        values = _FLOAT_CASES[case]
+        table = np.resize(values, (-(-values.size // width), width))
+        written = write_csv(table, tmp_path / "x.csv")
+        expected = percent_g_rows(table)
+        if written != expected:
+            got = written.replace(b"\r\n", b",").split(b",")
+            want = expected.replace(b"\r\n", b",").split(b",")
+            k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+            pytest.fail(f"value {k} ({table.flat[k]!r}): wrote {got[k:k + 1]}, %.17g gives {want[k:k + 1]}")
+
+    def test_tie_rounds_to_even(self, tmp_path):
+        assert write_csv(np.array([[2.0 ** -25, -(2.0 ** -25)]]), tmp_path / "x.csv") == (
+            b"2.9802322387695312e-08,-2.9802322387695312e-08\r\n")
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("width", [1, 2047, 2048, 2049, 843])
+    def test_row_widths_match_savetxt(self, width, tmp_path):
+        rng = np.random.default_rng(width)
+        table = rng.standard_normal((5, width)) * 10.0 ** rng.integers(-8, 8, (5, width))
+        table[rng.random((5, width)) < 0.3] = 0.0
+        table[:, 0] = np.arange(5) * 0.1
+        series = TimeSeries([f"coherence_re:0:{k}" for k in range(1, width)], table)
+        path = tmp_path / "x.csv"
+        write_timeseries(series, "csv", path)
+        assert path.read_bytes() == savetxt_bytes(series)
+
+    def test_memory_is_a_fraction_of_the_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        table = rng.uniform(size=(201, 843))
+        table[:, 1::2] = 0.0
+        series = TimeSeries([f"c{k}" for k in range(842)], table)
+        path = tmp_path / "x.csv"
+        write_timeseries(series, "csv", path)  # the formatter's tables are built once, on first use
+        tracemalloc.start()
+        try:
+            write_timeseries(series, "csv", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+
+    def test_written_in_place(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"old")
+        inode = path.stat().st_ino
+        series = TimeSeries(["population:0"], np.array([[0.0, 1.0], [0.5, 0.25]]))
+        write_timeseries(series, "csv", path)
+        assert path.stat().st_ino == inode
+        assert os.listdir(tmp_path) == ["x.csv"]
+        assert path.read_bytes() == savetxt_bytes(series)
+
+    @pytest.mark.parametrize("name", ["a,b", "a\rb", "a\nb", "a\r\n", ","])
+    def test_name_that_breaks_the_header_refused(self, name, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValidationError, match="CSV column name"):
+            write_timeseries(TimeSeries([name], [[0.0, 0.5]]), "csv", path)
+        assert not path.exists()
+
+    def test_name_that_is_not_utf8_refused(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValidationError):
+            write_timeseries(TimeSeries(["population:\ud800"], [[0.0, 0.5]]), "csv", path)
+        assert not path.exists()
+
+    def test_unicode_names_round_trip_in_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "x.csv"
+        script = ("import sys, numpy as np; from eetsim.timeseries import TimeSeries, read_timeseries, write_timeseries; "
+                  "names = ['\\u03c1:0', '\\u03c3:1']; "
+                  "write_timeseries(TimeSeries(names, np.array([[0.0, 0.5, 1.5]])), 'csv', sys.argv[1]); "
+                  "print(read_timeseries(sys.argv[1]).names == names)")
+        src = str(Path(eetsim.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONIOENCODING": "utf-8", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
+        assert path.read_bytes().startswith("t,ρ:0,σ:1\r\n".encode("utf-8"))
