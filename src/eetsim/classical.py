@@ -36,18 +36,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormCollapse, ValidationError, ZeroState
+from .errors import DimensionMismatch, EetsimError, NormCollapse, ValidationError, ZeroState
 from .integrate import TimeGrid, expm_propagate
 from .model import _TRAJECTORY_PSD_TOL, AggregateModel, DensityMatrix, _check_dimension, _check_stack, _drift
 
 _SYMMETRY_TOL = 1e-12
+#: Below this trace a classical sample cannot be normalized.
+_COLLAPSE_TRACE = 1e-12
+
+
+class _Symmetric(np.ndarray):
+    """An R or S stack gathered through M's symmetric index: :class:`RstState` skips its symmetry check.
+
+    Any copy (``np.array``) or arithmetic result is a plain array again, so
+    only the engine's own gather carries the mark.
+    """
 
 
 @dataclass(frozen=True)
 class RstState:
     """Second-moment triple (R, S, T) of the oscillator ensemble.
 
-    R and S are symmetric (position-position and momentum-momentum moments);
+    R and S are symmetric (position-position and momentum-momentum moments),
+    which is checked unless the engine gathered them from its packed state;
     T (position-momentum) carries no symmetry.  Each array is N x N, or a
     (n_samples, N, N) stack along a trajectory, and is made read-only.
     """
@@ -57,6 +68,7 @@ class RstState:
     t: np.ndarray
 
     def __post_init__(self):
+        symmetric = isinstance(self.r, _Symmetric) and isinstance(self.s, _Symmetric)
         r = np.asarray(self.r, dtype=float)
         s = np.asarray(self.s, dtype=float)
         t = np.asarray(self.t, dtype=float)
@@ -64,7 +76,7 @@ class RstState:
         for name, a in (("r", r), ("s", s), ("t", t)):
             if a.ndim < 2 or a.shape != r.shape[:-2] + (n, n):
                 raise DimensionMismatch(f"{name} must be {n}x{n}, got {a.shape}")
-        for name, a in (("r", r), ("s", s)):
+        for name, a in (("r", r), ("s", s)) if not symmetric else ():
             scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
             if np.any(np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * scale):
                 raise ValidationError(f"{name} must be symmetric")
@@ -100,7 +112,7 @@ def _moment_stack(raw: np.ndarray, n: int) -> RstState:
     index, _ = _moment_layout(n)
     # one gather of R, S and T: all of M would also keep T^T, 1.5 MiB more on the 29-chain run
     moments = raw.take(np.stack([index[:n, :n], index[n:, n:], index[:n, n:]]), axis=1)
-    return RstState(moments[:, 0], moments[:, 1], moments[:, 2])
+    return RstState(moments[:, 0].view(_Symmetric), moments[:, 1].view(_Symmetric), moments[:, 2])
 
 
 def _phase_averaged(rho: np.ndarray) -> RstState:
@@ -130,16 +142,21 @@ def initial_rst_mixed(rho0: DensityMatrix) -> RstState:
     return _phase_averaged(rho0.data)
 
 
+def _sigma(rst: RstState) -> np.ndarray:
+    """The (..., N, N) sigma = R + S + i (T^T - T) of a triple or a stack, unchecked."""
+    sigma = np.empty(rst.r.shape, dtype=complex)
+    np.add(rst.r, rst.s, out=sigma.real)
+    np.subtract(rst.t.swapaxes(-1, -2), rst.t, out=sigma.imag)
+    return sigma
+
+
 def assemble_sigma(rst: RstState) -> np.ndarray:
     """Classical density matrix (unnormalized) from the moment triple.
 
     Works on one triple or a stack; returns the validated, read-only
     (..., N, N) sigma.
     """
-    sigma = np.empty(rst.r.shape, dtype=complex)
-    np.add(rst.r, rst.s, out=sigma.real)
-    np.subtract(rst.t.swapaxes(-1, -2), rst.t, out=sigma.imag)
-    return _check_stack(sigma, _TRAJECTORY_PSD_TOL)
+    return _check_stack(_sigma(rst), _TRAJECTORY_PSD_TOL)
 
 
 def normalize_sigma(sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +166,7 @@ def normalize_sigma(sigma) -> tuple[np.ndarray, np.ndarray]:
     """
     data = np.asarray(sigma, dtype=complex)
     norm = np.asarray(np.trace(data, axis1=-2, axis2=-1).real)
-    collapsed = norm < 1e-12
+    collapsed = norm < _COLLAPSE_TRACE
     if np.any(collapsed):
         raise NormCollapse(f"trace {norm[collapsed].flat[0]:.3e} too small to normalize")
     norm.setflags(write=False)
@@ -243,5 +260,22 @@ def propagate_classical_rst(model: AggregateModel, rst0: RstState, grid: TimeGri
     InvalidInitialState, NormCollapse
     """
     states = _propagate_moments(model, rst0, grid, quantum=False)
+    sigma = _sigma(states)
+    norms = np.trace(sigma, axis1=-2, axis2=-1).real
+    # One check of the raw stack, as strict as assemble_sigma's and
+    # normalize_sigma's together: the check of sigma / N is the check of sigma
+    # with each bound taken relative to max(N, size) instead of max(1, size),
+    # so the floor min(1, N) keeps the stricter bound of every sample.
+    if np.all(norms >= _COLLAPSE_TRACE):
+        try:
+            _check_stack(sigma, _TRAJECTORY_PSD_TOL, np.minimum(1.0, norms))
+        except EetsimError:
+            pass
+        else:
+            sigma = sigma / norms[:, None, None]
+            sigma.setflags(write=False)
+            norms.setflags(write=False)
+            return ClassicalTrajectory(grid=grid, states=states, sigma=sigma, norm_factor=norms)
+    # a collapsed trace or a failed sample: the two checks in turn word it
     sigma, norms = normalize_sigma(assemble_sigma(states))
     return ClassicalTrajectory(grid=grid, states=states, sigma=sigma, norm_factor=norms)

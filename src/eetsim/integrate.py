@@ -9,7 +9,8 @@ computes that product: systems up to ``_DENSE_MAX_DIM`` probe L with one
 call on the identity stack and form the dense interval map by scaling and
 squaring (:func:`_expm`, BLAS matrix products); larger ones take Krylov
 steps with the callback as the matrix-vector product, one Arnoldi basis
-spanning as many sample intervals as its error estimate allows.  The result
+spanning as many sample intervals as its error estimate allows, and each
+basis sized by its counted work per written sample.  The result
 does not depend on a step size, and reruns with the same numpy, BLAS build
 and BLAS thread count are bit-reproducible; OpenBLAS 0.3.31 splits a product
 of D >= 105 differently for one thread than for several, which moves the
@@ -18,9 +19,8 @@ last bits.
 Tolerance: the dense map is exact to rounding, about 1e-16 times the norm of
 L spacing; every sample a Krylov basis writes has an estimated error of at
 most 1e-12 times the norm of the state the basis starts from, by Saad's
-phi_1 estimate at that sample's time, checked from the basis size the
-previous step needed.  That estimate does not underflow on a long interval,
-so a collapsed step is not accepted.
+phi_1 estimate at that sample's time.  That estimate does not underflow on a
+long interval, so a collapsed step is not accepted.
 
 The step rule serves only the stochastic engines, whose Strang splitting
 needs a step: the uniform sample spacing splits into n_sub equal substeps h,
@@ -65,9 +65,31 @@ _TAYLOR_BLOCKS = np.array(
     + [0.0] * (-(_TAYLOR_DEGREE + 1) % _TAYLOR_POWERS)
 ).reshape(-1, _TAYLOR_POWERS)
 #: A Krylov step is accepted when its phi_1 error estimate is at most this times
-#: the norm of the state; its basis grows to at most _KRYLOV_MAX_DIM vectors.
+#: the norm of the state.
 _KRYLOV_TOL = 1e-12
-_KRYLOV_MAX_DIM = 30
+#: Most vectors one Krylov basis holds.  A basis's reach grows faster than its
+#: size: on the 29-site chain's classical run (D = 1711, eps = 40, spacing
+#: 0.05) 30 vectors span 4 sample intervals, 48 span 10, 60 span 18, 75 span
+#: 27 and 100 span about 50.
+_KRYLOV_MAX_DIM = 100
+#: ... and at most this many bytes of basis, but never fewer than
+#: _KRYLOV_MIN_DIM vectors, so a large state holds no more basis than
+#: max(30 vectors, 2 MiB): 100 vectors up to D = 2621, 30 from D = 8738 on.
+_KRYLOV_BASIS_BYTES = 2 * 2**20
+_KRYLOV_MIN_DIM = 30
+#: A basis checks its estimate at sizes this factor apart, from the size the
+#: previous basis found cheapest (1 on the first), not at every vector.
+_KRYLOV_CHECK_GROWTH = 1.25
+#: The work model that sizes a basis, in passes over a D-vector: a product
+#: with L counts _KRYLOV_MATVEC_PASSES, CGS2 four passes over the vectors it
+#: orthogonalizes against, and a check exponential of order m + 1
+#: _KRYLOV_EXPM_PASSES (m + 1)^3 / D.  Measured on the 29-site chain (2-core
+#: Xeon, OpenBLAS 0.3.31): a product takes 36-43 us, a pass 0.3-0.46 us, and
+#: _expm 0.9-1.0 ns (m + 1)^3 from m = 60 on.  Work is counted, never timed,
+#: so reruns stay bit-identical; the chain's bases keep their sizes for any
+#: product weight from 25 to 200 and any exponential weight from 2 to 8.
+_KRYLOV_MATVEC_PASSES = 100
+_KRYLOV_EXPM_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -219,24 +241,34 @@ def _krylov_propagate(rhs, out: np.ndarray, spacing: float) -> None:
     """Fill out[1:] with e^{L t} out[0] at the grid times by Arnoldi steps, ``rhs`` being the product L v.
 
     Each step builds an orthonormal basis V_m of {y, L y, ..., L^{m-1} y} by
-    classical Gram-Schmidt applied twice (CGS2) and exponentiates [[tau H_m,
-    e_1], [0, 0]] once, tau being the spacing.  The k-th power of that
+    classical Gram-Schmidt applied twice (CGS2) and, at each check, exponentiates
+    [[tau H_m, e_1], [0, 0]], tau being the spacing.  The k-th power of that
     exponential holds e^{k tau H_m} e_1 and k phi_1(k tau H_m) e_1, so one
     basis writes the samples k = 1, 2, ... as beta V_m e^{k tau H_m} e_1, beta
     = |y|, up to the first k whose corrected estimate beta h_{m+1,m} tau
     |[k phi_1(k tau H_m) e_1]_m| exceeds _KRYLOV_TOL beta; phi_1 decays only
-    like 1 / (k tau |H_m|) where e^{k tau H_m} e_1 underflows.  The basis
-    grows until the estimate passes at the last grid time, breaks down (which
-    covers every remaining sample) or holds _KRYLOV_MAX_DIM vectors, and the
-    estimate is checked from the basis size the previous step needed.  When a
+    like 1 / (k tau |H_m|) where e^{k tau H_m} e_1 underflows.
+
+    The estimate is checked at sizes _KRYLOV_CHECK_GROWTH apart, starting from
+    the checked size of the previous basis with the least work per sample it
+    could write (the model above _KRYLOV_MATVEC_PASSES).  The basis stops
+    growing when its estimate passes at the last grid time, when it breaks
+    down (which covers every remaining sample), when it is full, or at the
+    second check in a row whose work per written sample is not below its
+    best: one check past the first rise, since a few whole samples more can
+    make the figure flat (30 vectors write 4 samples, 38 write 6, 48 write 10
+    on the 29-site chain).  A basis is full at _KRYLOV_MAX_DIM vectors or
+    _KRYLOV_BASIS_BYTES.  When a
     full basis does not span even one interval, tau is halved on it until the
-    estimate passes, and further steps cover the rest of that interval.
+    estimate passes, further steps cover the rest of that interval, and they
+    check from the full size.
     """
     n_samples, dim = out.shape
-    basis = np.empty((_KRYLOV_MAX_DIM, dim))
-    hess = np.zeros((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM))
-    aug = np.empty((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM + 1))
-    y, i, tau, check_from = out[0], 0, spacing, 1  # y lies tau before sample i + 1
+    cap = min(_KRYLOV_MAX_DIM, max(_KRYLOV_MIN_DIM, _KRYLOV_BASIS_BYTES // (8 * dim)))
+    basis = np.empty((cap, dim))
+    hess = np.zeros((cap + 1, cap))
+    aug = np.empty((cap + 1, cap + 1))
+    y, i, tau, settled = out[0], 0, spacing, 1  # y lies tau before sample i + 1
     while i < n_samples - 1:
         beta = float(np.linalg.norm(y))
         if beta == 0.0:
@@ -246,7 +278,8 @@ def _krylov_propagate(rhs, out: np.ndarray, spacing: float) -> None:
             raise EetsimError("state is not finite")
         np.divide(y, beta, out=basis[0])
         limit = n_samples - 1 - i if tau == spacing else 1  # the rest of a split interval
-        for j in range(_KRYLOV_MAX_DIM):
+        check, work, best, stale = settled, 0.0, math.inf, 0
+        for j in range(cap):
             w = np.array(rhs(basis[j]))
             done = basis[: j + 1]
             coeffs = done @ w
@@ -256,22 +289,29 @@ def _krylov_propagate(rhs, out: np.ndarray, spacing: float) -> None:
             hess[: j + 1, j] = coeffs + again
             hess[j + 1, j] = norm = float(np.linalg.norm(w))
             m = j + 1
-            if m >= check_from or norm == 0.0 or m == _KRYLOV_MAX_DIM:
+            work += _KRYLOV_MATVEC_PASSES + 4 * m
+            if m >= check or norm == 0.0 or m == cap:
                 aug[: m + 1, : m + 1] = 0.0
                 np.multiply(hess[:m, :m], tau, out=aug[:m, :m])
                 aug[0, m] = 1.0
                 flow = _expm(aug[: m + 1, : m + 1])
+                work += _KRYLOV_EXPM_PASSES * (m + 1) ** 3 / dim
                 passed = _passing_powers(flow, norm * tau, limit)
-                if len(passed) == limit or norm == 0.0 or m == _KRYLOV_MAX_DIM:
+                if len(passed):
+                    if work / len(passed) < best:
+                        best, settled, stale = work / len(passed), m, 0
+                    else:
+                        stale += 1
+                if len(passed) == limit or norm == 0.0 or m == cap or stale == 2:
                     break
+                check = math.ceil(_KRYLOV_CHECK_GROWTH * m)
             np.divide(w, norm, out=basis[m])
-        check_from = m
         if len(passed):
             np.matmul(beta * passed, done, out=out[i + 1 : i + 1 + len(passed)])
             i += len(passed)
             y, tau = out[i], spacing
             continue
-        step = tau  # not even one interval passes on a full basis
+        settled, step = m, tau  # not even one interval passes on a full basis
         while norm * step * abs(flow[m - 1, m]) > _KRYLOV_TOL:
             step *= 0.5
             aug[:m, :m] *= 0.5

@@ -151,15 +151,17 @@ def _drift(model: AggregateModel, quantum: bool) -> np.ndarray:
     return drift
 
 
-def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
+def _check_stack(a: np.ndarray, psd_tol: float, floor=1.0) -> np.ndarray:
     """Validate a (..., N, N) stack of density matrices and make it read-only.
 
     Each sample must be finite, Hermitian relative to its own largest entry s,
-    have a real trace, and have no eigenvalue below -c, c = psd_tol * max(1, s);
-    the first of these checks that some sample fails is reported.  A Cholesky
-    factor of A + (c/2) I certifies positivity, as Cholesky's backward error
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10) stays
-    below c/2 while 8 N (N + 1) eps <= psd_tol.  Only when a factorization
+    have a real trace (imaginary part at most 1e-12 max(f, |trace|)), and have
+    no eigenvalue below -c, c = psd_tol * max(f, s); f is ``floor``, one value
+    or one per sample.  The first of these checks that some sample fails is
+    reported.  A Cholesky factor of A + (c/2) I certifies positivity, as
+    Cholesky's backward error (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 10) stays below c/2 while 8 N (N + 1) eps <= psd_tol,
+    c being at least psd_tol * s.  Only when a factorization
     fails, or N is past that bound, does one batched eigvalsh decide.  The
     checks run over chunks of samples, so no temporary grows with the stack.
     """
@@ -175,7 +177,8 @@ def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
     bad = ~np.isfinite(scale)
     if np.any(bad):
         raise ValidationError(f"non-finite entry in sample {int(np.flatnonzero(bad)[0])}")
-    bound = psd_tol * np.maximum(1.0, scale)
+    floor = np.broadcast_to(floor, a.shape[:-2]).reshape(-1)
+    bound = psd_tol * np.maximum(floor, scale)
     herm = np.empty(len(samples))
     certified = 8 * n * (n + 1) * np.finfo(float).eps <= psd_tol
     for k in chunks:
@@ -193,7 +196,7 @@ def _check_stack(a: np.ndarray, psd_tol: float) -> np.ndarray:
     if np.any(bad):
         raise ValidationError(f"matrix not Hermitian: max |A - A^H| = {herm[bad].flat[0]:.3e}")
     tr = np.trace(samples, axis1=-2, axis2=-1)
-    bad = np.abs(tr.imag) > _HERMITICITY_TOL * np.maximum(1.0, np.abs(tr))
+    bad = np.abs(tr.imag) > _HERMITICITY_TOL * np.maximum(floor, np.abs(tr))
     if np.any(bad):
         raise ValidationError(f"trace not real: {complex(tr[bad].flat[0])}")
     if not certified:

@@ -170,7 +170,7 @@ def _parse_initial(doc_initial, n: int) -> InitialState:
 def _read_document(path) -> dict:
     """Parse a model file into its JSON object."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8, whatever the locale
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc

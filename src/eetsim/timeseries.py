@@ -179,7 +179,7 @@ def read_timeseries(source) -> TimeSeries:
         names, tags = header[1:], {}
     elif fmt == "json":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh, object_pairs_hook=_unique_keys)  # json.load alone keeps the last of equal keys
             names = list(doc["channels"])
             # a scalar t or a channel off the grid makes the rows ragged, which numpy refuses

@@ -20,7 +20,7 @@ from eetsim import (
     run_kubo_ensemble,
 )
 from eetsim.classical import RstState, _rst_rhs, normalize_sigma
-from eetsim.errors import DimensionMismatch, NormCollapse, NotPositive, ValidationError, ZeroState
+from eetsim.errors import DimensionMismatch, EetsimError, NormCollapse, NotPositive, ValidationError, ZeroState
 
 
 def anomalous(rst):
@@ -355,3 +355,84 @@ class TestStackChecks:
             assert a.shape == (11, 3, 3)
         for a in (st.r, st.s, st.t, traj.sigma, traj.norm_factor):
             assert not a.flags.writeable
+
+
+def _verdict(call):
+    try:
+        call()
+    except EetsimError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestOneSigmaCheck:
+    """The engine checks sigma once, as strictly as assemble_sigma and normalize_sigma in turn."""
+
+    # each a 2 x 2 real sigma put in halfway along a dimer run (trace N)
+    CASES = {
+        # N = 3: eigenvalue -2.5e-8 fails the raw bound 1.5e-8, passes the normalized one
+        "raw-only-eigenvalue": [[1.5, 1.5 + 2.5e-8], [1.5 + 2.5e-8, 1.5]],
+        "raw-eigenvalue-passes": [[1.5, 1.5 + 1.0e-8], [1.5 + 1.0e-8, 1.5]],
+        # N = 0.1: eigenvalue -5e-9 passes the raw bound, fails the normalized one
+        "normalized-only-eigenvalue": np.diag([0.1, -5e-9]),
+        "normalized-eigenvalue-passes": np.diag([0.1, -5e-10]),
+        "both-eigenvalue": np.diag([1.1, -0.1]),
+        "large-trace-passes": np.diag([40.0, 2.0]),
+        "collapse": np.zeros((2, 2)),
+        "negative-trace": np.diag([-0.05, -0.05]),
+        "non-finite": [[np.inf, 0.0], [0.0, 0.5]],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_verdict_as_the_two_checks(self, monkeypatch, name):
+        model, init = make_chain(2, 1.0, 4.0, 0.5, 0)
+        raws = []
+        propagate = eetsim.classical.expm_propagate
+
+        def corrupted(rhs, y0, grid):
+            raw = propagate(rhs, y0, grid)
+            half = 0.5 * np.asarray(self.CASES[name], dtype=float)
+            with np.errstate(invalid="ignore"):  # inf - inf in the symmetry check of the non-finite case
+                raw[grid.n_samples // 2] = RstState(half, half, np.zeros((2, 2))).pack()
+            raws.append(raw.copy())
+            return raw
+
+        monkeypatch.setattr(eetsim.classical, "expm_propagate", corrupted)
+        grid = TimeGrid(0.0, 1.0, 11)
+        engine = _verdict(lambda: propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid))
+        states = eetsim.classical._moment_stack(raws[0], 2)
+        with np.errstate(invalid="ignore"):
+            plain = RstState(np.array(states.r), np.array(states.s), np.array(states.t))
+        assert engine == _verdict(lambda: normalize_sigma(assemble_sigma(plain)))
+        assert (engine is None) == name.endswith("passes")
+
+    def test_engine_output_matches_the_two_checks(self):
+        model, init = make_chain(5, 1.0, 4.0, 20.0, 2)  # norm_factor grows past 1
+        traj = propagate_classical_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 2.0, 21))
+        sigma, norms = normalize_sigma(assemble_sigma(traj.states))
+        assert traj.norm_factor.max() > 1.1
+        assert np.array_equal(traj.sigma, sigma) and np.array_equal(traj.norm_factor, norms)
+
+    def test_one_stack_check_per_run(self, monkeypatch):
+        calls = []
+        check = eetsim.classical._check_stack
+
+        def counted(*args):
+            calls.append(None)
+            return check(*args)
+
+        monkeypatch.setattr(eetsim.classical, "_check_stack", counted)
+        model, init = make_chain(3, 1.0, 2.0, 0.5, 1)
+        propagate_classical_rst(model, initial_rst_pure(init.amplitudes), TimeGrid(0.0, 1.0, 11))
+        assert len(calls) == 1
+
+    def test_only_the_engine_gather_skips_the_symmetry_check(self):
+        # the engine's R and S come from M's symmetric index; a copy of the
+        # same skewed data, as a user would pass it, is still refused
+        r = np.zeros((3, 2, 2))
+        r[1, 0, 1] = 0.1
+        marked = r.view(eetsim.classical._Symmetric)
+        rst = RstState(marked, marked, np.zeros((3, 2, 2)))
+        assert type(rst.r) is np.ndarray and type(rst.s) is np.ndarray
+        with pytest.raises(ValidationError, match="r must be symmetric"):
+            RstState(np.array(marked), np.array(marked), np.zeros((3, 2, 2)))

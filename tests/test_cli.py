@@ -759,6 +759,22 @@ class TestRca:
         out = capsys.readouterr().out
         assert "pass" in out
 
+    def test_utf8_model_file_in_an_ascii_locale(self, tmp_path):
+        # JSON text is UTF-8: a model file holding raw non-ASCII text is read
+        # the same under a C locale, where open() would default to ASCII
+        doc = json.loads(fmo_model_path().read_text(encoding="utf-8"))
+        doc["description"] += ", energies in cm\u207b\u00b9"
+        path = tmp_path / "fmo.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        assert "cm⁻¹".encode("utf-8") in path.read_bytes()
+        src = str(Path(eetsim.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "eetsim.cli", "rca", "--model", str(path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "verdict              : pass" in done.stdout.splitlines()
+
     def test_gamma_override(self, capsys):
         # an absurd dephasing rate breaks the weak-noise condition
         assert run_cli("rca", "--model", str(fmo_model_path()), "--gamma", "20000") == 1

@@ -217,9 +217,9 @@ class TestKrylov:
         # a fast rotation with damping: no basis of _KRYLOV_MAX_DIM vectors
         # spans one interval, so each interval is split into shorter steps
         rng = np.random.default_rng(5)
-        dim = 80
+        dim = 160
         a = rng.normal(size=(dim, dim))
-        a = 20.0 * (a - a.T) / np.sqrt(dim) - np.diag(rng.uniform(0.0, 1.0, dim))
+        a = 60.0 * (a - a.T) / np.sqrt(dim) - np.diag(rng.uniform(0.0, 1.0, dim))
         y0 = rng.normal(size=dim)
         calls = []
 
@@ -328,6 +328,81 @@ class TestKrylov:
         assert y0.size > eetsim.integrate._DENSE_MAX_DIM
         expm_propagate(counted, y0, grid)
         assert len(calls) < grid.n_samples - 1
+
+
+def _record_basis_sizes(monkeypatch) -> list:
+    """Patch _expm to record the basis size m of every [[tau H_m, e_1], [0, 0]] it exponentiates."""
+    sizes = []
+    expm = eetsim.integrate._expm
+
+    def recorded(a):
+        sizes.append(a.shape[0] - 1)
+        return expm(a)
+
+    monkeypatch.setattr(eetsim.integrate, "_expm", recorded)
+    monkeypatch.setattr(eetsim.integrate, "_DENSE_MAX_DIM", 0)
+    return sizes
+
+
+class TestKrylovBasisSize:
+    """Each basis grows to where its counted work per written sample stops falling."""
+
+    @staticmethod
+    def _chain29_runs():
+        # the README's and the benchmark's 29-site runs: eps = 40 and the noise-free Bessel check
+        model, init = make_chain(29, 1.0, 40.0, 1.0, 14)
+        free, free_init = make_chain(29, 1.0, 0.0, 0.0, 14)
+        grid = TimeGrid(0.0, 10.0, 201)
+        return {
+            "classical": (_rst_rhs(model, quantum=False), initial_rst_pure(init.amplitudes).pack(), grid),
+            "lindblad": (_lindblad_rhs(model), _pack_density(init.rho.data), grid),
+            "bessel-lindblad": (_lindblad_rhs(free), _pack_density(free_init.rho.data), TimeGrid(0.0, 6.0, 121)),
+        }
+
+    def test_chain29_products(self):
+        # a fixed basis of 30 vectors took 1380, 120 and 90 products
+        most = {"classical": 700, "lindblad": 120, "bessel-lindblad": 90}
+        for name, (rhs, y0, grid) in self._chain29_runs().items():
+            assert y0.size > eetsim.integrate._DENSE_MAX_DIM
+            calls = []
+            expm_propagate(lambda y: calls.append(None) or rhs(y), y0, grid)
+            assert len(calls) <= most[name], name
+
+    def test_reruns_are_bit_identical(self):
+        # the basis size follows counted work, never a clock
+        rhs, y0, grid = self._chain29_runs()["classical"]
+        assert np.array_equal(expm_propagate(rhs, y0, grid), expm_propagate(rhs, y0, grid))
+
+    def test_bases_past_30_vectors_match_scipy(self, monkeypatch):
+        rhs, y0 = _chain_engine(8, 40.0, "classical")
+        generator = np.column_stack([rhs(e) for e in np.eye(y0.size)])
+        sizes = _record_basis_sizes(monkeypatch)
+        grid = TimeGrid(0.0, 10.0, 201)
+        out = expm_propagate(rhs, y0, grid)
+        assert max(sizes) > 30
+        # every tenth sample: each of the three bases writes 47 to 80 samples
+        exact = np.array([scipy.linalg.expm(generator * t) @ y0 for t in grid.times[::10]])
+        assert np.abs(out[::10] - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("dim", [5000, 12000])
+    def test_byte_budget_caps_the_basis(self, monkeypatch, dim):
+        # decay rates up to 3000 over one interval: no basis within the cap
+        # spans it, so every basis grows to the cap the byte budget sets
+        ig = eetsim.integrate
+        cap = min(ig._KRYLOV_MAX_DIM, max(ig._KRYLOV_MIN_DIM, ig._KRYLOV_BASIS_BYTES // (8 * dim)))
+        assert cap < ig._KRYLOV_MAX_DIM
+        rates = np.linspace(0.0, 3000.0, dim)
+        y0 = np.ones(dim)
+        sizes = _record_basis_sizes(monkeypatch)
+        tracemalloc.start()
+        try:
+            out = expm_propagate(lambda y: -rates * y, y0, TimeGrid(0.0, 1.0, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(sizes) == cap
+        assert peak <= 8 * dim * (cap + 16)  # the basis and a few state vectors
+        assert np.abs(out[1] - np.exp(-rates)).max() <= 1e-12 * np.linalg.norm(y0)
 
 
 class TestDenseOrCallback:

@@ -133,6 +133,19 @@ class TestFileRoundTrip:
         for name, values in dimer_series.channels.items():
             assert np.array_equal(back.channels[name], values)
 
+    def test_utf8_json_series_in_an_ascii_locale(self, tmp_path):
+        # JSON text is UTF-8: raw non-ASCII channel names read back under a C locale
+        path = tmp_path / "x.json"
+        path.write_bytes('{"t": [0.0], "channels": {"ρ:0": [0.5]}}'.encode("utf-8"))
+        script = ("import sys; from eetsim.timeseries import read_timeseries; "
+                  "print(read_timeseries(sys.argv[1]).names == ['\\u03c1:0'])")
+        src = str(Path(eetsim.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONIOENCODING": "utf-8", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
+
     def test_json_keeps_engine_and_units(self, dimer_series, tmp_path):
         path = tmp_path / "series.json"
         write_timeseries(dimer_series, "json", path)
