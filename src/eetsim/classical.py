@@ -58,9 +58,10 @@ class RstState:
     """Second-moment triple (R, S, T) of the oscillator ensemble.
 
     R and S are symmetric (position-position and momentum-momentum moments),
-    which is checked unless the engine gathered them from its packed state;
-    T (position-momentum) carries no symmetry.  Each array is N x N, or a
-    (n_samples, N, N) stack along a trajectory, and is made read-only.
+    and all three are finite, which is checked unless the engine gathered R
+    and S from its packed state; T (position-momentum) carries no symmetry.
+    Each array is N x N, or a (n_samples, N, N) stack along a trajectory,
+    and is made read-only.
     """
 
     r: np.ndarray
@@ -76,7 +77,11 @@ class RstState:
         for name, a in (("r", r), ("s", s), ("t", t)):
             if a.ndim < 2 or a.shape != r.shape[:-2] + (n, n):
                 raise DimensionMismatch(f"{name} must be {n}x{n}, got {a.shape}")
-        for name, a in (("r", r), ("s", s)) if not symmetric else ():
+        checked = (("r", r), ("s", s), ("t", t)) if not symmetric else ()
+        for name, a in checked:
+            if not np.isfinite(a).all():
+                raise ValidationError(f"{name} must be finite")
+        for name, a in checked[:2]:
             scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
             if np.any(np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * scale):
                 raise ValidationError(f"{name} must be symmetric")

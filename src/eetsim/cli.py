@@ -44,8 +44,9 @@ ENGINES = ("lindblad", "classical", "sse", "kubo", "bessel")
 DEFAULT_SEED = 1234
 DEFAULT_NTRAJ = 10_000
 #: sse and kubo requests of more kicks x trajectories x sites are refused:
-#: at 5e-8 (dimer) to 7e-8 s (29-site chain) per update on a 2-core x86-64
-#: host, 10^10 is 8 to 12 minutes; the README's ensembles need at most 5.8e8.
+#: at 5e-8 (dimer, 10^4 trajectories) to 7e-8 s (29-site chain, 1024) per
+#: update in one process on a 2-core x86-64 host, 10^10 is 8 to 12 minutes;
+#: the README's ensembles need at most 5.8e8.
 ENSEMBLE_WORK_BUDGET = 10**10
 #: bessel requests of more recurrence steps are refused: at about 0.35 us per step, a quarter of an hour.
 BESSEL_WORK_BUDGET = 25 * 10**8

@@ -46,12 +46,14 @@ STEP_GUARD = 0.1
 #: Default step resolves the splitting rate with 100 steps per radian.
 DEFAULT_STEP_FACTOR = 0.01
 #: Up to this flat dimension expm_propagate forms the dense interval map.
-#: The crossover depends on the spectrum (2 cores, 101-201 samples): at D =
-#: 600 Krylov steps are 4-5x faster on a chain's Lindblad run and 1.5-3.5x on
-#: its classical run, but 1.5x slower on a 17-site FMO-like classical run,
-#: whose fast on-site rotation splits Krylov intervals; at FMO's D = 105 the
-#: dense map is 3x (Lindblad) to 20x (classical) faster.  The dense path holds
-#: about seven D x D matrices: 20 MiB at D = 600, 160 MiB at D = 1700.
+#: The crossover depends on the engine and the spectrum (2 cores, best of 7):
+#: on a chain at eps = 40 over 0:10:201, Krylov steps are 4x faster on the
+#: 13-site Lindblad run (D = 338) and 6x on the 17-site one (D = 578); the
+#: classical run breaks even at 13 sites (D = 351) and is 3x faster by Krylov
+#: at 17 (D = 595).  On FMO over 0:1:101 the dense map is 5-7x faster (D = 98
+#: and 105).  The dense path holds about seven D x D matrices: 20 MiB at D =
+#: 600 (the 17-site runs peak at 19-20 MiB, 2-3 MiB by Krylov), 160 MiB at
+#: D = 1700.
 _DENSE_MAX_DIM = 600
 #: _expm's Taylor degree, the 1-norm its scaled argument is brought to, and
 #: the powers X, ..., X^_TAYLOR_POWERS its Paterson-Stockmeyer form keeps.

@@ -24,10 +24,14 @@ Reproducibility contract: the stream for trajectory ``k`` is derived from
 ``(master_seed, k)`` alone through a counter-based generator, and every
 trajectory consumes its noise in a fixed order, so trajectories do not
 depend on how they are batched, and batching moves an ensemble, a pure
-function of (seed, n_traj, model, grid), only by rounding in its sums.  Kubo trajectory k first draws a global phase theta_k,
-uniform on [0, 2 pi), so the ensemble samples the phase-averaged state whose
-moments the classical engine propagates: its path is the single-trajectory
-path from z0 exp(i theta_k) with stream_k continued.
+function of (seed, n_traj, model, grid), only by rounding in its sums.  The
+stream is Philox keyed as by ``SeedSequence(master_seed, spawn_key=(k,))``;
+a batch's keys come from one numpy pass of SeedSequence's hashing over all
+its indices (:mod:`eetsim._seeding`), the same keys bit for bit.  Kubo
+trajectory k first draws a global phase theta_k, uniform on [0, 2 pi), so
+the ensemble samples the phase-averaged state whose moments the classical
+engine propagates: its path is the single-trajectory path from
+z0 exp(i theta_k) with stream_k continued.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .model import AggregateModel, _drift
 _CHUNK_TRAJECTORIES = 1024
 #: Bytes of one sample's outer products a batch forms at once (16 N^2 per trajectory).
 _CHUNK_MEMORY_BYTES = 256_000_000
-#: Bytes of kick angles, and of their cos/sin table, one batch holds at once.
+#: Bytes of kick angles, and of their cos/sin table and its scratch, one batch holds at once.
 _SEGMENT_BYTES = 8_000_000
 
 
@@ -77,10 +81,14 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
 
     The stream depends only on ``(master_seed, trajectory_index)``, never on
     how many streams were created before, so trajectories can be computed in
-    any order or in parallel and still reproduce bit-for-bit.
+    any order or in parallel and still reproduce bit-for-bit.  It is
+    ``Generator(Philox(SeedSequence(master_seed, spawn_key=(trajectory_index,))))``,
+    the batch of one of :func:`eetsim._seeding.streams`.
     """
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(trajectory_index),))
-    return np.random.Generator(np.random.Philox(seq))
+    from ._seeding import streams  # see _run_ensemble
+
+    k = int(trajectory_index)
+    return streams(int(master_seed), range(k, k + 1))[0]
 
 
 def _mapped(shape: tuple, dtype) -> np.ndarray:
@@ -113,16 +121,22 @@ def _strang_samples(
     # continue its own stream, so the kicks equal those of one whole-path draw.
     # The block holds the kick angles -sqrt(gamma_n h) xi; their kicks are
     # evaluated as cos + i sin a sub-block of `sub` substeps at a time into
-    # `table`.  The table's sixteenth of the budget comes out of the block's
-    # share and keeps it in cache from the trig to the substeps that read it;
-    # where a sixteenth holds no table substep, the table is one substep
-    # beside the block, the size of the per-kick temporaries it replaces.
+    # `table`, step-major so that each substep multiplies by a contiguous
+    # (batch, N) row: the sub-block's angles are first copied step-major into
+    # `scratch`, a trajectory's N angles as one item.  The table's sixteenth
+    # of the budget and the scratch's thirty-second come out of the block's
+    # share and keep both in cache from the trig to the substeps that read
+    # them; where a thirty-second holds no substep, each is one substep
+    # beside the block, the size of the per-kick temporaries they replace.
     row = 8 * n * batch
     sub = _SEGMENT_BYTES // (32 * row)
-    block = max(1, (_SEGMENT_BYTES - 2 * row * sub) // row)
+    block = max(1, (_SEGMENT_BYTES - 3 * row * sub) // row)
     sub = max(1, sub)
     phases = _mapped((batch, min(block, n_steps), n), float)
-    table = np.empty((batch, min(sub, n_steps), n), dtype=complex)
+    table = np.empty((min(sub, n_steps), batch, n), dtype=complex)
+    scratch = np.empty(table.shape)
+    item = np.dtype((np.void, 8 * n))
+    steps = scratch.view(item)[..., 0]
     # The angles' widths as a full (block, N) table: scaling by an (N,) row
     # would make numpy's inner loop N long, about 6x slower.
     widths = np.tile(-np.sqrt(h * model.gamma), (phases.shape[1], 1))
@@ -151,13 +165,15 @@ def _strang_samples(
                 for b, gen in enumerate(streams):
                     gen.standard_normal(drawn.shape[1:], out=drawn[b])
                 drawn *= widths[: drawn.shape[1]]
+                paths = drawn.view(item)[..., 0]
             if offset % sub == 0:
-                angles = drawn[:, offset : offset + sub]
-                kicks = table[:, : angles.shape[1]]
-                np.cos(angles, out=kicks.real)
-                np.sin(angles, out=kicks.imag)
+                angles = paths[:, offset : offset + sub]
+                count = angles.shape[1]
+                steps[:count] = angles.T
+                np.cos(scratch[:count], out=table[:count].real)
+                np.sin(scratch[:count], out=table[:count].imag)
             z = (z.view(float) @ flow).view(complex)
-            z *= table[:, offset % sub]
+            z *= table[offset % sub]
             flow = full_step
             step += 1
         yield (z.view(float) @ half_step).view(complex)
@@ -234,9 +250,12 @@ def _run_ensemble(kind, model, z0, grid, noise: NoiseSpec, n_traj: int) -> Traje
     if not 0.0 < float(np.vdot(z, z).real) < np.inf:
         raise ZeroState("amplitude vector has zero or non-finite norm")
     chunk = min(_CHUNK_TRAJECTORIES, max(1, _CHUNK_MEMORY_BYTES // (16 * model.n_sites**2)))
+    # imported here, with numpy.random (about 10 ms and 6 MiB), so runs that draw no noise skip it
+    from ._seeding import streams as derive_streams
+
     ens = TrajectoryEnsemble(grid, model.n_sites)
     for start in range(0, n_traj, chunk):
-        streams = [derive_stream(noise.seed, k) for k in range(start, min(start + chunk, n_traj))]
+        streams = derive_streams(noise.seed, range(start, min(start + chunk, n_traj)))
         starts = z
         if kind == "kubo":  # phase-averaged start: theta_k is stream k's first draw
             starts = z * np.exp(1j * np.array([g.uniform(0.0, 2.0 * np.pi) for g in streams]))[:, None]

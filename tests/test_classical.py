@@ -325,6 +325,23 @@ class TestStackChecks:
             RstState(moments["r"], moments["s"], moments["t"])
         assert type(info.value) is ValidationError
 
+    @pytest.mark.parametrize("block", ["r", "s", "t"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, block, value):
+        # refused before the symmetry pass, whose inf - inf would warn (an
+        # error here) and whose nan > tol would let the triple through
+        moments = {name: 0.25 * np.eye(2) for name in "rst"}
+        moments[block] = np.diag([value, 0.25])
+        with pytest.raises(ValidationError, match=f"{block} must be finite") as info:
+            RstState(moments["r"], moments["s"], moments["t"])
+        assert type(info.value) is ValidationError
+
+    def test_non_finite_stack_rejected(self):
+        r = np.zeros((3, 2, 2))
+        r[1, 0, 1] = r[1, 1, 0] = np.nan
+        with pytest.raises(ValidationError, match="r must be finite"):
+            RstState(r, np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
+
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionMismatch, match=r"s must be 2x2, got \(3, 3\)") as info:
             RstState(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 2)))
@@ -391,9 +408,9 @@ class TestOneSigmaCheck:
 
         def corrupted(rhs, y0, grid):
             raw = propagate(rhs, y0, grid)
-            half = 0.5 * np.asarray(self.CASES[name], dtype=float)
-            with np.errstate(invalid="ignore"):  # inf - inf in the symmetry check of the non-finite case
-                raw[grid.n_samples // 2] = RstState(half, half, np.zeros((2, 2))).pack()
+            # packed through the engine's mark: RstState refuses a plain non-finite R
+            half = (0.5 * np.asarray(self.CASES[name], dtype=float)).view(eetsim.classical._Symmetric)
+            raw[grid.n_samples // 2] = RstState(half, half, np.zeros((2, 2))).pack()
             raws.append(raw.copy())
             return raw
 
@@ -401,9 +418,7 @@ class TestOneSigmaCheck:
         grid = TimeGrid(0.0, 1.0, 11)
         engine = _verdict(lambda: propagate_classical_rst(model, initial_rst_pure(init.amplitudes), grid))
         states = eetsim.classical._moment_stack(raws[0], 2)
-        with np.errstate(invalid="ignore"):
-            plain = RstState(np.array(states.r), np.array(states.s), np.array(states.t))
-        assert engine == _verdict(lambda: normalize_sigma(assemble_sigma(plain)))
+        assert engine == _verdict(lambda: normalize_sigma(assemble_sigma(states)))
         assert (engine is None) == name.endswith("passes")
 
     def test_engine_output_matches_the_two_checks(self):

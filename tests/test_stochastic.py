@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from eetsim import (
     run_kubo_ensemble,
     run_sse_ensemble,
 )
+from eetsim._seeding import streams as batch_streams
 from eetsim.errors import DimensionMismatch, GridMismatch, ValidationError, ZeroState
 from eetsim.integrate import _substeps, resolve_step
 from eetsim.stochastic import TrajectoryEnsemble, _strang_samples, derive_stream
@@ -99,6 +104,59 @@ class TestDeriveStream:
         gen = derive_stream(11, 2)
         steps = np.stack([gen.standard_normal(3) for _ in range(20)])
         assert np.array_equal(whole, steps)
+
+
+def oracle_stream(seed, k):
+    """Trajectory k's stream derived by numpy's SeedSequence, one trajectory at a time."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,))))
+
+
+class TestBatchKeys:
+    """A batch's Philox keys come from one vectorized pass of numpy's SeedSequence
+    algorithm; every stream must be the one SeedSequence derives.  Indices of
+    2^32 and more take two words, seeds of 2^64 and more three to five."""
+
+    SEEDS = [0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3]
+    INDICES = [0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**40]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", INDICES)
+    def test_key_equals_seed_sequence(self, seed, k):
+        got = derive_stream(seed, k).bit_generator.state["state"]
+        expected = oracle_stream(seed, k).bit_generator.state["state"]
+        assert np.array_equal(got["key"], expected["key"])
+        assert np.array_equal(got["counter"], expected["counter"])
+
+    @pytest.mark.parametrize("indices", [range(0, 1024), range(1000, 1030), range(2**32 - 3, 2**32 + 3)],
+                             ids=["full-batch", "second-batch-edge", "across-two-words"])
+    def test_batch_equals_one_at_a_time(self, indices):
+        batch = batch_streams(1234, indices)
+        assert len(batch) == len(indices)
+        for k in (indices[0], indices[len(indices) // 2], indices[-1]):
+            got, one = batch[k - indices.start], derive_stream(1234, k)
+            assert got.uniform(0.0, 2.0 * np.pi) == one.uniform(0.0, 2.0 * np.pi)
+            assert np.array_equal(got.standard_normal(1000), one.standard_normal(1000))
+        for k, got in zip(indices, batch):
+            assert np.array_equal(got.bit_generator.state["state"]["key"],
+                                  oracle_stream(1234, k).bit_generator.state["state"]["key"])
+
+    @pytest.mark.parametrize("seed,k", [(5, 3), (2**64 + 7, 2**40)])
+    def test_spawn_equals_seed_sequence_children(self, seed, k):
+        stream = derive_stream(seed, k)
+        children = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(3)
+        for got, expected in zip(stream.spawn(2) + stream.spawn(1), children):
+            expected = np.random.Generator(np.random.Philox(expected))
+            assert np.array_equal(got.standard_normal(8), expected.standard_normal(8))
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs about 10 ms and 6 MiB at import; runs that draw
+        # no noise (every deterministic engine) must not pay for it
+        src = str(Path(eetsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import sys, eetsim.cli; print('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestSseTrajectory:
@@ -260,9 +318,10 @@ class TestKickTable:
     substep.  With a dimer batch of 6 (96 bytes of phases a substep) and
     40 substeps per interval, a budget of B bytes gives sub-blocks of
     sub = B // 3072 substeps (at least 1) and noise blocks of
-    (B - 192 sub) // 96; sub-blocks restart at each noise block."""
+    (B - 288 sub) // 96, the table and its step-major scratch taking 288
+    bytes a substep; sub-blocks restart at each noise block."""
 
-    @pytest.mark.parametrize("segment_bytes", [1, 960, 9216, 9400, 21700, 24576, 8_000_000], ids=[
+    @pytest.mark.parametrize("segment_bytes", [1, 960, 9504, 9600, 22368, 25344, 8_000_000], ids=[
         "sub1-block1",  # every substep its own noise block and sub-block
         "sub1-block10",  # budget below one table substep: a one-row table beside the block
         "sub3-block90",  # sub-blocks run across sample times, edges on the block edges
@@ -489,7 +548,7 @@ class TestEnsembleDrivers:
     @pytest.mark.parametrize("segment_bytes", [1, 672, 9600])
     def test_segmented_noise_equals_whole_path(self, monkeypatch, segment_bytes):
         # 40 substeps per interval, batch of 6, 96 bytes of kicks per substep:
-        # blocks of 1, 7 (across interval ends) and 100 substeps, against the
+        # blocks of 1, 7 (across interval ends) and 91 substeps, against the
         # whole path in one block
         model, init = make_chain(2, 1.0, 2.0, 0.8, 0)
         grid = TimeGrid(0.0, 2.0, 11)
