@@ -4,10 +4,10 @@
 Each float is printed as ``b"%.17g" % x``, Python's correctly rounded
 17 digits, which name the double exactly.  A chunk of values is formatted at
 once: its 17 digits come from a double-double scaling (Dekker, Numer. Math.
-18, 224 (1971)), its bytes are laid into one 48-byte row per value from small
-tables of 4-byte words, and a boolean compaction keeps the bytes of each
-value's layout.  A value this cannot round exactly goes through Python's own
-``%.17g``.
+18, 224 (1971)), its bytes are laid into one 48-byte row per value from six
+8-byte words, each four digits taking one word of a 10 000-entry table, and a
+boolean compaction keeps the bytes of each value's layout.  A value this
+cannot round exactly goes through Python's own ``%.17g``.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ import numpy as np
 _CHUNK = 2048  # values per chunk; its rows and keep masks take about 200 kB
 _LOW, _HIGH = 1e-260, 1e280  # the scaling neither overflows nor underflows here
 _K0 = 16 - 281  # the table's 10**k, k >= _K0, scale exponents e = 16 - k from -262 to 281
-# A value's row, word by word: "-0.0" and "00d." hold the sign, the "0.000" of
-# fixed notation with e < 0 and the first digit; eight "d.d." words hold the
-# digit pairs, each digit followed by a point slot; "e", the exponent's sign,
-# hundreds and tens; then its units, the separator and the row end.  So
-# column 0 is the sign, 1-5 "0.000", 6 + 2j digit j, 7 + 2j its point slot
-# (the last, 39, is never kept), 40-44 the exponent, 45 "," and 46-47 CRLF.
+# A value's row, word by word: "-0.000d." holds the sign, the "0.000" of fixed
+# notation with e < 0 and the first digit; four "d.d.d.d." words hold digits
+# 1-16, each digit followed by a point slot; "e", the exponent's sign and three
+# digits, the separator and the row end.  So column 0 is the sign, 1-5 "0.000",
+# 6 + 2j digit j, 7 + 2j its point slot (the last, 39, is never kept), 40-44
+# the exponent, 45 "," and 46-47 CRLF.
 _SCI, _SCI3 = 21, 22  # layouts 0-20 are fixed notation with e = layout - 4
-_PAIR_TENTHS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
 
 @functools.cache
@@ -35,12 +34,12 @@ def _tables():
     """The formatter's tables, built on first use.
 
     - ``powers``: rows hi, hi's two 26-bit halves and lo of each 10**k, from k = _K0;
-    - the 4-byte words ``row_start`` ("-0.0"), ``lead`` ("00d." for a first
-      digit d) and ``pairs`` ("d.d." for a pair p at position i, at 100 i + p);
-    - ``pair_kept``: the digits kept up to pair p's last non-zero digit at
-      position i, at 100 i + p;
-    - at e + 324, each exponent e's words ``exp_high`` ("e", sign, hundreds,
-      tens) and ``exp_low`` (units, ",", "\\r", "\\n") and its ``layouts``;
+    - the 8-byte words ``lead`` ("-0.000d." for a first digit d) and
+      ``groups`` ("d.d.d.d." for the four digits of g, at g);
+    - ``group_kept``: the digits kept up to g's last non-zero digit at group
+      position i (1 for g = 0), at 10000 i + g;
+    - at e + 324, each exponent e's word ``exponents`` ("e", sign, three
+      digits, ",", "\\r", "\\n") and its ``layouts``;
     - ``masks``: the bytes kept, at ((layout * 17 + kept - 1) * 2 + negative) * 2 + row end.
     """
     powers = []
@@ -58,7 +57,15 @@ def _tables():
 
     exponents = range(-324, 309)
     layouts = [e + 4 if -4 <= e < 17 else _SCI if abs(e) < 100 else _SCI3 for e in exponents]
-    pair_kept = [0 if p == 0 else 2 * i + 3 - (p % 10 == 0) for i in range(8) for p in range(100)]
+    digit = np.arange(10, dtype=np.uint8)
+    groups = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)  # g's word, at g's four digits
+    last = np.zeros((10, 10, 10, 10), np.uint8)  # where g's last non-zero digit is, from 1 (0 for g = 0)
+    for j in range(4):
+        shape = (10,) + (1,) * (3 - j)
+        groups[..., 2 * j] = (digit + ord("0")).reshape(shape)
+        np.maximum(last, ((digit != 0) * np.uint8(j + 1)).reshape(shape), out=last)
+    last = last.ravel()
+    group_kept = np.where(last, last + np.arange(1, 17, 4, dtype=np.uint8)[:, None], 1)
 
     masks = np.zeros((23, 17, 2, 2, 48), bool)
     for layout in range(23):
@@ -77,13 +84,10 @@ def _tables():
     masks[:, :, :, 1, 46:] = True
     return SimpleNamespace(
         powers=np.array(powers).T.copy(),
-        row_start=np.frombuffer(b"-0.0", np.uint32),
-        lead=np.frombuffer(b"".join(b"00%d." % d for d in range(10)), np.uint32),
-        pairs=np.frombuffer(b"".join(b"%d.%d." % divmod(p, 10) for p in range(100)) * 8, np.uint32),
-        pair_kept=np.array(pair_kept, np.uint8),
-        exp_high=np.frombuffer(b"".join(b"e%s%d%d" % (b"-" if e < 0 else b"+", abs(e) // 100, abs(e) // 10 % 10)
-                                        for e in exponents), np.uint32),
-        exp_low=np.frombuffer(b"".join(b"%d,\r\n" % (abs(e) % 10) for e in exponents), np.uint32),
+        lead=np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64),
+        groups=groups.view(np.uint64).ravel(),
+        group_kept=group_kept.ravel(),
+        exponents=np.frombuffer(b"".join(b"e%c%03d,\r\n" % (b"-+"[e >= 0], abs(e)) for e in exponents), np.uint64),
         layouts=np.array(layouts),
         masks=masks.reshape(-1, 48),
     )
@@ -137,33 +141,26 @@ def _decimal(x, powers):
 
 
 def _rows(n, e, tables):
-    """The (n.size, 12) word rows of 17-digit integers n and exponents e, and how many digits to keep.
+    """The (n.size, 6) word rows of 17-digit integers n and exponents e, and how many digits to keep.
 
     Every array operation here pairs equal shapes or an array and a scalar:
     numpy gives a broadcast operation iteration buffers of 8192 elements per operand.
     """
-    top = n // 10 ** 8
-    rows = np.empty((n.size, 12), np.uint32)
-    rows[:, 0] = tables.row_start
-    kept = np.ones(n.size, np.uint8)
-    quotients = np.empty((5, n.size))
-    pairs = np.empty((4, n.size), np.intp)
-    for half, part in enumerate([top, n - top * 10 ** 8]):  # the first 9 digits, then the last 8
-        halfway = part + 0.5
-        for quotient, tenth in zip(quotients, _PAIR_TENTHS):
-            # floor((h + 1/2) * 10**-j) is floor(h / 10**j) for a whole h below 1e9, 10**-j rounded or not
-            np.multiply(halfway, tenth, out=quotient)
-        np.floor(quotients, out=quotients)
-        if not half:
-            rows[:, 1] = np.take(tables.lead, quotients[0].astype(np.intp))
-        for position, (pair, above, below) in enumerate(zip(pairs, quotients, quotients[1:]), start=4 * half):
-            np.subtract(below, 100 * above, out=pair, casting="unsafe")
-            pair += 100 * position
-        rows[:, 2 + 4 * half:6 + 4 * half] = np.take(tables.pairs, pairs).T
-        np.maximum(kept, np.take(tables.pair_kept, pairs).max(axis=0), out=kept)
-    rows[:, 10] = np.take(tables.exp_high, e + 324)
-    rows[:, 11] = np.take(tables.exp_low, e + 324)
-    return rows, kept
+    # for the first 9 digits, then the last 8: h // 10**8 (0 for the last 8), h // 10**4 and h
+    quotients = np.empty((2, 3, n.size), np.int64)
+    np.floor_divide(n, 10 ** 8, out=quotients[0, 2])
+    np.subtract(n, 10 ** 8 * quotients[0, 2], out=quotients[1, 2])
+    np.floor_divide(quotients[:, 2], 10 ** 4, out=quotients[:, 1])
+    np.floor_divide(quotients[0, 1], 10 ** 4, out=quotients[0, 0])
+    quotients[1, 0] = 0
+    groups = (quotients[:, 1:] - 10 ** 4 * quotients[:, :2]).reshape(4, -1)  # digits 1-4, 5-8, 9-12, 13-16
+    rows = np.empty((n.size, 6), np.uint64)
+    rows[:, 0] = np.take(tables.lead, quotients[0, 0])
+    rows[:, 1:5] = np.take(tables.groups, groups).T
+    rows[:, 5] = np.take(tables.exponents, e + 324)
+    for position in range(1, 4):
+        groups[position] += 10000 * position
+    return rows, np.take(tables.group_kept, groups).max(axis=0)
 
 
 def _format_chunk(x, ends):

@@ -249,12 +249,13 @@ def compare_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
         rows = series.table.T[[column[name] for name in common]]
         return np.concatenate([rows, np.hypot(rows[re_rows], rows[im_rows])])
 
-    diff, times = np.abs(channel_rows(a) - channel_rows(b)), a.times
-    if not a.n_samples:  # an empty grid reports zeros, as one equal sample at t = 0 would
-        diff, times = np.zeros((len(names), 1)), np.zeros(1)
-    max_abs = diff.max(axis=1)
-    t_of_max = times[diff.argmax(axis=1)]
-    l2 = np.sqrt(np.sum(diff * diff, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # samples past 1e154 may report inf or NaN
+        diff, times = np.abs(channel_rows(a) - channel_rows(b)), a.times
+        if not a.n_samples:  # an empty grid reports zeros, as one equal sample at t = 0 would
+            diff, times = np.zeros((len(names), 1)), np.zeros(1)
+        max_abs = diff.max(axis=1)
+        t_of_max = times[diff.argmax(axis=1)]
+        l2 = np.sqrt(np.sum(diff * diff, axis=1))
     diffs = {name: ChannelDiff(peak, t, norm)
              for name, peak, t, norm in zip(names, max_abs.tolist(), t_of_max.tolist(), l2.tolist())}
     return DiffReport(diffs, float(max_abs.max()), ignored_channels=tuple(sorted(set(a.names) ^ set(b.names))))

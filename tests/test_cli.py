@@ -661,6 +661,25 @@ class TestCompare:
         run_cli("compare", str(a), str(b), "--report", str(r2))
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_report_text_with_non_finite_and_non_ascii(self, tmp_path, capsys):
+        # magnitudes near the float limit give inf and NaN differences, with no numpy warning,
+        # written as JSON's Infinity and NaN; the channel name is not ASCII; "extra" is in one file only
+        a, b, report = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.json"
+        a.write_text("t,\u03c1:0,coherence_re:0:1,coherence_im:0:1,big,extra\n"
+                     "0,1,1.5e308,1.5e308,1e308,1\n1,0.5,0,0,-1e308,2\n", encoding="utf-8")
+        b.write_text("t,\u03c1:0,coherence_re:0:1,coherence_im:0:1,big\n"
+                     "0,0.25,1.5e308,1.5e308,-1e308\n1,0.5,0,0,1e308\n", encoding="utf-8")
+        assert run_cli("compare", str(a), str(b), "--report", str(report)) == 0
+        assert capsys.readouterr().err == ""
+        text = report.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert doc["ignored_channels"] == ["extra"]
+        assert doc["channels"]["\u03c1:0"]["max_abs"] == 0.75
+        assert doc["channels"]["big"]["max_abs"] == np.inf
+        assert np.isnan(doc["channels"]["coherence_abs:0:1"]["max_abs"])
+        assert np.isnan(doc["overall_max"])
+
     def test_report_in_missing_directory(self, tmp_path, capsys):
         a, b = self.make_pair(tmp_path)
         capsys.readouterr()

@@ -122,10 +122,11 @@ class TestBatchKeys:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", INDICES)
     def test_key_equals_seed_sequence(self, seed, k):
-        got = derive_stream(seed, k).bit_generator.state["state"]
         expected = oracle_stream(seed, k).bit_generator.state["state"]
-        assert np.array_equal(got["key"], expected["key"])
-        assert np.array_equal(got["counter"], expected["counter"])
+        for stream in (batch_streams(seed, range(k, k + 1))[0], derive_stream(seed, k)):
+            got = stream.bit_generator.state["state"]
+            assert np.array_equal(got["key"], expected["key"])
+            assert np.array_equal(got["counter"], expected["counter"])
 
     @pytest.mark.parametrize("indices", [range(0, 1024), range(1000, 1030), range(2**32 - 3, 2**32 + 3)],
                              ids=["full-batch", "second-batch-edge", "across-two-words"])
@@ -141,8 +142,10 @@ class TestBatchKeys:
                                   oracle_stream(1234, k).bit_generator.state["state"]["key"])
 
     @pytest.mark.parametrize("seed,k", [(5, 3), (2**64 + 7, 2**40)])
-    def test_spawn_equals_seed_sequence_children(self, seed, k):
-        stream = derive_stream(seed, k)
+    @pytest.mark.parametrize("derive", [derive_stream, lambda seed, k: batch_streams(seed, range(k, k + 1))[0]],
+                             ids=["one", "batch"])
+    def test_spawn_equals_seed_sequence_children(self, seed, k, derive):
+        stream = derive(seed, k)
         children = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(3)
         for got, expected in zip(stream.spawn(2) + stream.spawn(1), children):
             expected = np.random.Generator(np.random.Philox(expected))

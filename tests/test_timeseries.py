@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import eetsim
+from eetsim import _csvtext
 from eetsim import TimeGrid, initial_rst_pure, make_chain, propagate_classical_rst, propagate_lindblad
 from eetsim.classical import ClassicalTrajectory
 from eetsim.quantum import QuantumTrajectory
@@ -405,6 +406,83 @@ class TestCsvText:
     def test_tie_rounds_to_even(self, tmp_path):
         assert write_csv(np.array([[2.0 ** -25, -(2.0 ** -25)]]), tmp_path / "x.csv") == (
             b"2.9802322387695312e-08,-2.9802322387695312e-08\r\n")
+
+
+def digits17(v) -> bytes:
+    """The 17 digits of ``b"%.17g" % v``, its trailing zeros put back."""
+    mantissa = (b"%.17g" % v).split(b"e")[0].lstrip(b"-").replace(b".", b"").lstrip(b"0")
+    return mantissa.ljust(17, b"0")
+
+
+def group_values(position):
+    """Doubles printing each group value g = 0-9999 as digits 1 + 4 * position to 4 + 4 * position.
+
+    Below position 3 these are the exact integers 10**(4 * position + 4) + g,
+    with zeros after the group.  At position 3, 10**16 + g is exact for an
+    even g; an odd g ends the 17 digits "1000.fffffffffgggg" of a double for
+    the first filler f = 0, 1, ... whose double prints them.
+    """
+    values = []
+    for g in range(10000):
+        if position < 3 or g % 2 == 0:
+            values.append(float(10 ** (4 * position + 4) + g))
+            continue
+        for filler in range(16):
+            v = float(f"1000.{filler:09d}{g:04d}")
+            if digits17(v)[13:] == b"%04d" % g:
+                values.append(v)
+                break
+    return np.array(values)
+
+
+class TestDigitGroups:
+    """Each value's 17 digits are laid out four at a time, one table word per group,
+    and how many to keep is looked up per group position; every entry is checked
+    against ``b"%.17g" % v``."""
+
+    def check(self, values, tmp_path):
+        values = np.concatenate([values, -values])
+        table = np.resize(values, (-(-values.size // 7), 7))
+        written = write_csv(table, tmp_path / "x.csv").replace(b"\r\n", b",").split(b",")[:-1]
+        expected = percent_g_rows(table).replace(b"\r\n", b",").split(b",")[:-1]
+        wrong = [(v, got, want) for v, got, want in zip(table.ravel(), written, expected) if got != want]
+        assert not wrong, f"{len(wrong)} values differ, the first {wrong[:3]}"
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_every_group_value(self, position, tmp_path):
+        values = group_values(position)
+        groups = [digits17(v)[1 + 4 * position:5 + 4 * position] for v in values]
+        assert groups == [b"%04d" % g for g in range(10000)]
+        self.check(values, tmp_path)
+
+    def test_trailing_zeros_from_each_digit(self, tmp_path):
+        # exact integers whose last non-zero digit is digit j: below 2**53 up to 16 digits,
+        # even and below 2**54 at 17
+        lasts = [1, 5, 8]
+        for j in range(1, 16):
+            lasts += [int(form) for form in (f"1{'0' * (j - 1)}1", "1" * (j + 1), "8" * (j + 1), f"5{'0' * (j - 1)}3")]
+        lasts += [10 ** 16 + 2, int("1" * 16 + "2"), int("17" + "9" * 14 + "8"), 10 ** 16 + 54]
+        values = np.array(lasts, dtype=float)
+        assert [digits17(v) for v in values] == [str(n).encode().ljust(17, b"0") for n in lasts]
+        self.check(np.concatenate([values, values * 2.0 ** -60, values * 2.0 ** 60]), tmp_path)
+
+    def test_each_layout(self, tmp_path):
+        # fixed notation for decimal exponents -4 to 16 (21 layouts), then scientific with two
+        # exponent digits and with three, both inside the range the double-double scaling covers
+        exponents = [*range(-4, 17), -5, 17, 99, -99, 100, -100, 279, -259]
+        values = np.array([float(f"{m}e{e}") for e in exponents for m in ("1", "1.25", "9.999999999999999")])
+        assert {(b"%.17g" % v).count(b"e") for v in values[:63]} == {0}
+        self.check(values, tmp_path)
+
+    def test_tables_built_in_little_memory(self):
+        _csvtext._tables.cache_clear()
+        tracemalloc.start()
+        try:
+            _csvtext._tables()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestCsvWriter:
